@@ -2,6 +2,10 @@
 energy on the maturity path, alpha-mixing effective sample size, and the
 Gate-V2 decision protocol (monotone envelope, degree-5 FIR smoothing,
 tail-median slope, trapezoidal area drop, concentration tolerance bands).
+
+The bandwidth and MMD^2 come in two forms: pairwise over sample arrays, and
+exact from atom counts for clouds drawn from a finite set of atoms, which
+is what the pipeline's chain gate uses.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ __all__ = [
     "median_bandwidth_mixture",
     "mmd2",
     "chain_energy",
+    "atom_counts",
+    "median_bandwidth_counts",
+    "mmd2_counts",
+    "chain_energy_counts",
     "n_eff",
     "bartlett_alphas",
     "fir_smoother",
@@ -74,14 +82,9 @@ def _as_samples(X) -> np.ndarray:
     return X
 
 
-def median_bandwidth_mixture(X, Y, octaves=(-1, 0, 1),
-                             imq_shape: float = 0.5) -> KernelMixture:
-    """Median-heuristic mixture: Gaussians at sigma*2^l plus one IMQ at sigma."""
-    X, Y = _as_samples(X), _as_samples(Y)
-    if X.size == 0 or Y.size == 0:
-        raise ValueError("both samples must be nonempty")
-    d = np.sqrt(_sq_dists(X, Y))
-    sigma = float(np.median(d))
+def _mixture_at(sigma: float, octaves, imq_shape: float) -> KernelMixture:
+    """Gaussians at sigma*2^l plus one IMQ at sigma, equally weighted;
+    sigma <= 0 falls back to 1 and is flagged."""
     fallback = False
     if sigma <= 0:
         sigma = 1.0
@@ -91,6 +94,16 @@ def median_bandwidth_mixture(X, Y, octaves=(-1, 0, 1),
     n = len(comps)
     return KernelMixture(components=comps, weights=(1.0 / n,) * n,
                          fallback=fallback)
+
+
+def median_bandwidth_mixture(X, Y, octaves=(-1, 0, 1),
+                             imq_shape: float = 0.5) -> KernelMixture:
+    """Median-heuristic mixture: Gaussians at sigma*2^l plus one IMQ at sigma."""
+    X, Y = _as_samples(X), _as_samples(Y)
+    if X.size == 0 or Y.size == 0:
+        raise ValueError("both samples must be nonempty")
+    d = np.sqrt(_sq_dists(X, Y))
+    return _mixture_at(float(np.median(d)), octaves, imq_shape)
 
 
 def mmd2(X, Y, kernel: KernelMixture, mode: str = "full",
@@ -145,39 +158,133 @@ def mmd2(X, Y, kernel: KernelMixture, mode: str = "full",
     return float(t_xx + t_yy - 2.0 * t_xy)
 
 
+def _edge_weights(n_slices: int, edge_weights) -> np.ndarray:
+    if n_slices < 2:
+        raise ValueError("need at least 2 maturity slices")
+    w = np.asarray(edge_weights, dtype=float)
+    if w.shape != (n_slices - 1,):
+        raise ValueError("edge_weights length must be number of edges")
+    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError("edge weights must be nonnegative and sum to 1")
+    return w
+
+
 def chain_energy(slices, edge_weights, kernel_policy=None, mode: str = "full",
-                 return_kernels: bool = False, threads: int = 1,
-                 **mmd_kwargs):
+                 return_kernels: bool = False, **mmd_kwargs):
     """Weighted sum of adjacent-pair MMD^2 along the maturity path.
 
     kernel_policy(X, Y) -> KernelMixture; defaults to the median-heuristic
     mixture per pair.  Returns (total, per_edge_values), plus the per-edge
-    mixtures when ``return_kernels`` is set.  ``threads`` caps the workers
-    for the per-edge statistics (results are order-deterministic).
+    mixtures when ``return_kernels`` is set.
     """
     slices = [_as_samples(s) for s in slices]
-    if len(slices) < 2:
-        raise ValueError("need at least 2 maturity slices")
-    w = np.asarray(edge_weights, dtype=float)
-    if w.shape != (len(slices) - 1,):
-        raise ValueError("edge_weights length must be number of edges")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("edge weights must be nonnegative and sum to 1")
+    w = _edge_weights(len(slices), edge_weights)
     if kernel_policy is None:
         kernel_policy = median_bandwidth_mixture
     pairs = list(zip(slices[:-1], slices[1:]))
     kernels = [kernel_policy(a, b) for a, b in pairs]
+    per_edge = np.asarray([mmd2(a, b, k, mode=mode, **mmd_kwargs)
+                           for (a, b), k in zip(pairs, kernels)])
+    total = float(w @ per_edge)
+    if return_kernels:
+        return total, per_edge, kernels
+    return total, per_edge
 
-    def one(idx):
-        a, b = pairs[idx]
-        return mmd2(a, b, kernels[idx], mode=mode, **mmd_kwargs)
 
-    if threads > 1 and len(pairs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_edge = np.asarray(list(pool.map(one, range(len(pairs)))))
-    else:
-        per_edge = np.asarray([one(i) for i in range(len(pairs))])
+# ---------------------------------------------------------------------------
+# atom-count form: samples drawn from a fixed finite set of atoms
+# ---------------------------------------------------------------------------
+#
+# A cloud drawn from A atoms is fully described by its count vector c, so
+# the pairwise statistics above reduce to A x A sums weighted by counts
+# (Gretton et al., JMLR 2012, with every sample pair mapped to its atom
+# pair).  The distances are built as in the pairwise path, so the median
+# bandwidth is bit-identical; the MMD^2 sums are regrouped and agree to
+# rounding.
+
+def atom_counts(cloud, atoms) -> np.ndarray:
+    """Multiplicity of each atom in ``cloud``.
+
+    ``atoms`` is strictly increasing and 1-D; every sample must equal one of
+    them exactly (a jittered cloud raises ``ValueError``).
+    """
+    atoms = np.asarray(atoms, dtype=float)
+    cloud = np.asarray(cloud, dtype=float)
+    if atoms.ndim != 1 or atoms.size == 0 or np.any(np.diff(atoms) <= 0):
+        raise ValueError("atoms must be a nonempty strictly increasing 1-D array")
+    if cloud.ndim != 1:
+        raise ValueError("cloud must be 1-D")
+    idx = np.minimum(np.searchsorted(atoms, cloud), atoms.size - 1)
+    if np.any(atoms[idx] != cloud):
+        raise ValueError("cloud holds samples that are not atoms")
+    return np.bincount(idx, minlength=atoms.size)
+
+
+def _as_counts(c, n_atoms: int) -> np.ndarray:
+    c = np.asarray(c)
+    if c.shape != (n_atoms,):
+        raise ValueError("counts must have one entry per atom")
+    if np.any(c < 0) or np.any(c != np.round(c)):
+        raise ValueError("counts must be nonnegative integers")
+    return c.astype(np.int64)
+
+
+def _atom_sq_dists(atoms) -> np.ndarray:
+    A = _as_samples(atoms)
+    return _sq_dists(A, A)
+
+
+def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
+    """np.median of the multiset holding values[k] weights[k] times."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    cum = np.cumsum(weights[order])
+    total = int(cum[-1])
+
+    def at(rank):
+        return v[np.searchsorted(cum, rank, side="right")]
+
+    if total % 2:
+        return float(at(total // 2))
+    return float((at(total // 2 - 1) + at(total // 2)) / 2.0)
+
+
+def median_bandwidth_counts(c_x, c_y, atoms, octaves=(-1, 0, 1),
+                            imq_shape: float = 0.5) -> KernelMixture:
+    """``median_bandwidth_mixture`` of two clouds given as atom counts."""
+    sq = _atom_sq_dists(atoms)
+    c_x, c_y = _as_counts(c_x, sq.shape[0]), _as_counts(c_y, sq.shape[0])
+    if c_x.sum() == 0 or c_y.sum() == 0:
+        raise ValueError("both samples must be nonempty")
+    sigma = _weighted_median(np.sqrt(sq).ravel(), np.outer(c_x, c_y).ravel())
+    return _mixture_at(sigma, octaves, imq_shape)
+
+
+def mmd2_counts(c_x, c_y, atoms, kernel: KernelMixture) -> float:
+    """Full unbiased MMD^2 (``mmd2`` with mode="full") from atom counts."""
+    K = kernel(_atom_sq_dists(atoms))
+    c_x = _as_counts(c_x, K.shape[0]).astype(float)
+    c_y = _as_counts(c_y, K.shape[0]).astype(float)
+    n, m = c_x.sum(), c_y.sum()
+    if n < 2 or m < 2:
+        raise ValueError("full mode needs at least 2 samples on each side")
+    k0 = float(kernel(np.zeros(1))[0])
+    t_xx = (c_x @ K @ c_x - n * k0) / (n * (n - 1))
+    t_yy = (c_y @ K @ c_y - m * k0) / (m * (m - 1))
+    t_xy = 2.0 * (c_x @ K @ c_y) / (n * m)
+    return float(t_xx + t_yy - t_xy)
+
+
+def chain_energy_counts(counts, atoms, edge_weights, octaves=(-1, 0, 1),
+                        return_kernels: bool = False):
+    """``chain_energy`` with the median-heuristic mixture per pair, for
+    slices given as count vectors over the same atoms."""
+    w = _edge_weights(len(counts), edge_weights)
+    pairs = list(zip(counts[:-1], counts[1:]))
+    kernels = [median_bandwidth_counts(a, b, atoms, octaves=octaves)
+               for a, b in pairs]
+    per_edge = np.asarray([mmd2_counts(a, b, atoms, k)
+                           for (a, b), k in zip(pairs, kernels)])
     total = float(w @ per_edge)
     if return_kernels:
         return total, per_edge, kernels

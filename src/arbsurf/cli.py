@@ -1,7 +1,8 @@
 """Command-line front end for the calibration pipeline.
 
-Subcommands run individual stages (reading/writing the shared JSON schemas
-in --out) or the whole loop; exit status 0 means every gate passed.
+Subcommands run one stage, after recomputing the stages it depends on, or
+the whole loop; artifacts go to --out.  Exit status 0 means every gate
+passed.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads")
     parser = argparse.ArgumentParser(
         prog="arbsurf",
         description="Certified arbitrage-free surface calibration pipeline",
@@ -50,8 +49,6 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     return cfg
 
 
@@ -75,9 +72,8 @@ def main(argv=None) -> int:
 
     ctx = PipelineContext(cfg, out_dir=args.out)
     try:
-        for dep in _STAGE_DEPS[stage]:
-            getattr(ctx, f"stage_{dep}")()
-        getattr(ctx, f"stage_{stage}")()
+        for name in _STAGE_DEPS[stage] + (stage,):
+            ctx._timed(name, getattr(ctx, f"stage_{name}"))
     except Exception as exc:
         print(f"pipeline stage '{stage}' failed: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,10 @@
 """Batch pipeline: generate -> fit/compile -> bridge -> project -> chain ->
 descend -> risk, with a machine-readable summary and per-stage artifacts.
 
-Every stage reads and writes the shared JSON/CSV schemas under the output
-directory, so stages are independently runnable and cacheable.  All
-randomness descends from the single config seed; wall-clock data lives only
-under the summary's "meta" key so two runs are byte-identical after
-stripping it.
+Stages pass their results in memory; with an output directory, some also
+write JSON/CSV artifacts there for inspection.  All randomness descends from
+the single config seed; wall-clock data lives only under the summary's
+"meta" key so two runs are byte-identical after stripping it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from .grid import (Grid2D, Surface, WeightField, check_mesh_admissibility,
 from .projection import (ProjectionConfig, ProjectionWarmStart,
                          feasibility_violation, project_to_cone,
                          projection_certificates)
-from .smolyak import AnisotropyConfig, error_frontier, smolyak_fit
+from .smolyak import (AnisotropyConfig, _bilinear_eval, error_frontier,
+                      smolyak_fit)
 from .synth import MarketParams, extract_density, generate_surface, sample_clouds
 
 __all__ = ["DEFAULT_CONFIG", "RunConfig", "run_pipeline", "PipelineContext",
@@ -39,7 +39,6 @@ STAGES = ("generate", "fit", "bridge", "project", "gate", "descend", "risk")
 
 DEFAULT_CONFIG = {
     "seed": 7,
-    "threads": 1,
     "grid": {
         "k_min": 80.0, "k_max": 120.0, "n_strikes": 31,
         "tau_min": 0.1, "tau_max": 1.1, "n_maturities": 11,
@@ -139,7 +138,13 @@ def _write_csv(path: Path, header, rows):
 
 
 class PipelineContext:
-    """Holds stage artifacts; stages execute lazily and cache to out_dir."""
+    """Holds the artifacts of the stages run so far, in memory.
+
+    Each ``stage_*`` method reads what earlier stages left in ``art`` and
+    writes its own results there, into ``summary`` and ``gates``, and, when
+    ``out_dir`` is set, into artifact files; callers run the stages in
+    dependency order.
+    """
 
     def __init__(self, config: RunConfig | dict | None = None,
                  out_dir=None):
@@ -221,7 +226,6 @@ class PipelineContext:
             vals = surface.values
 
             def target(X, Y):
-                from .smolyak import _bilinear_eval
                 return _bilinear_eval(grid.strikes, grid.maturities, vals,
                                       np.asarray(X, float), np.asarray(Y, float))
             return target
@@ -357,18 +361,17 @@ class PipelineContext:
                      for i in tau_idx]
         sizes = list(cc["sizes"])
         edge_w = np.full(n_mat - 1, 1.0 / (n_mat - 1))
+        atoms = grid.strikes / cfg["market"]["spot"]
         values = []
         kernel_scales = []
         for s_i, n_s in enumerate(sizes):
-            clouds = [sample_clouds(d, grid.strikes / cfg["market"]["spot"],
-                                    [n_s],
-                                    seed=self._seed(f"cloud-{s_i}-{m}"))[0]
+            counts = [cs.atom_counts(
+                sample_clouds(d, atoms, [n_s],
+                              seed=self._seed(f"cloud-{s_i}-{m}"))[0], atoms)
                       for m, d in enumerate(densities)]
-            total, _, kernels = cs.chain_energy(
-                clouds, edge_w,
-                kernel_policy=lambda a, b: cs.median_bandwidth_mixture(
-                    a, b, octaves=tuple(cc["octaves"])),
-                return_kernels=True, threads=int(cfg["threads"]))
+            total, _, kernels = cs.chain_energy_counts(
+                counts, atoms, edge_w, octaves=tuple(cc["octaves"]),
+                return_kernels=True)
             values.append(total)
             kernel_scales = [k.components[-1][1] for k in kernels]
         values = np.asarray(values)
@@ -494,18 +497,6 @@ class PipelineContext:
             "bound_holds": bool(bound_ok),
         }
         self._gate("Risk_bound", measured, budget.total, bound_ok)
-
-    # -- driver -----------------------------------------------------------
-    def run_all(self):
-        for name in STAGES:
-            self._timed(name, getattr(self, f"stage_{name}"))
-        self.summary["gates"] = self.gates
-        self.summary["all_pass"] = bool(all(g["pass"]
-                                            for g in self.gates.values()))
-        self.summary["meta"]["timestamp"] = time.time()
-        if self.out:
-            (self.out / "summary.json").write_text(summary_to_json(self.summary))
-        return self.summary
 
 
 def summary_to_json(summary: dict) -> str:

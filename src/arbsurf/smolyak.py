@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpwl import CpwlFunction, compile_to_relu, triangulate_tensor_grid
+from .grid import trapezoid_weights
 
 __all__ = [
     "AnisotropyConfig",
@@ -246,7 +247,7 @@ def error_frontier(target, levels, cfg: AnisotropyConfig, domain,
     hy = np.linspace(y0, y1, heldout_shape[1])
     HX, HY = np.meshgrid(hx, hy)
     ref = np.asarray(target(HX, HY), dtype=float)
-    wq = np.outer(_trap(hy), _trap(hx))
+    wq = np.outer(trapezoid_weights(hy), trapezoid_weights(hx))
     if weight is not None:
         wq = wq * np.asarray(weight(HX, HY), dtype=float)
     pts = np.column_stack([HX.ravel(), HY.ravel()])
@@ -276,11 +277,3 @@ def error_frontier(target, levels, cfg: AnisotropyConfig, domain,
     for r, e in zip(rows, env):
         r["error_envelope"] = float(e)
     return rows
-
-
-def _trap(x):
-    out = np.zeros_like(x)
-    d = np.diff(x)
-    out[:-1] += d / 2
-    out[1:] += d / 2
-    return out

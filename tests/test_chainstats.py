@@ -4,11 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbsurf.chainstats import (ChainSeries, GateThresholds, KernelMixture,
-                                bartlett_alphas, chain_energy, fir_smoother,
-                                gate_v2, median_bandwidth_mixture, mmd2, n_eff,
-                                tail_diagnostics, tolerance_band)
+                                atom_counts, bartlett_alphas, chain_energy,
+                                chain_energy_counts, fir_smoother, gate_v2,
+                                median_bandwidth_counts,
+                                median_bandwidth_mixture, mmd2, mmd2_counts,
+                                n_eff, tail_diagnostics, tolerance_band)
 from arbsurf.descent import path_laplacian
+from arbsurf.fd import FdConfig
+from arbsurf.pipeline import PipelineContext
 from arbsurf.projection import pav_isotonic
+from arbsurf.synth import extract_density, sample_clouds
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +202,118 @@ def test_chain_energy_validation():
         chain_energy([np.zeros(3)], [])
     with pytest.raises(ValueError):
         chain_energy([np.zeros(3), np.ones(3)], [0.5, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# atom-count form
+# ---------------------------------------------------------------------------
+
+ATOMS = np.linspace(80.0, 120.0, 31) / 100.0
+
+
+def _cloud_and_counts(density, n, seed):
+    cloud = sample_clouds(density, ATOMS, [n], seed=seed)[0]
+    return cloud, atom_counts(cloud, ATOMS)
+
+
+def _two_bumps():
+    x = np.arange(ATOMS.size)
+    p = np.exp(-0.5 * ((x - 12) / 4.0) ** 2)
+    q = np.exp(-0.5 * ((x - 17) / 6.0) ** 2)
+    return p / p.sum(), q / q.sum()
+
+
+@pytest.mark.parametrize("n, m", [(60, 90), (61, 91), (2, 3), (1, 1)])
+def test_count_bandwidth_bit_identical_to_pairwise(n, m):
+    # an even n*m averages the two middle ranks, as np.median does; an odd
+    # n*m (61*91, 1*1) takes the middle one, which no default chain size hits
+    p, q = _two_bumps()
+    X, cx = _cloud_and_counts(p, n, 1)
+    Y, cy = _cloud_and_counts(q, m, 2)
+    pairwise = median_bandwidth_mixture(X, Y, octaves=(-1, 0, 1))
+    counted = median_bandwidth_counts(cx, cy, ATOMS, octaves=(-1, 0, 1))
+    assert counted == pairwise
+    assert counted.components[-1][1] == float(np.median(np.abs(X[:, None] - Y)))
+
+
+def test_count_bandwidth_single_atom_falls_back():
+    point = np.zeros(ATOMS.size)
+    point[9] = 1.0
+    X, cx = _cloud_and_counts(point, 40, 3)
+    Y, cy = _cloud_and_counts(point, 25, 4)
+    counted = median_bandwidth_counts(cx, cy, ATOMS)
+    assert counted.fallback
+    assert counted == median_bandwidth_mixture(X, Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=31, max_size=31),
+       st.lists(st.floats(0.0, 1.0), min_size=31, max_size=31),
+       st.integers(2, 250), st.integers(2, 250), st.integers(0, 2**31))
+def test_count_mmd2_matches_pairwise(p, q, n, m, seed):
+    p, q = np.asarray(p) + 1e-3, np.asarray(q) + 1e-3
+    X, cx = _cloud_and_counts(p / p.sum(), n, seed)
+    Y, cy = _cloud_and_counts(q / q.sum(), m, seed + 1)
+    kern = median_bandwidth_mixture(X, Y)
+    assert median_bandwidth_counts(cx, cy, ATOMS) == kern
+    want = mmd2(X, Y, kern)
+    got = mmd2_counts(cx, cy, ATOMS, kern)
+    assert abs(got - want) <= 1e-12 * abs(want) + 1e-14
+
+
+def test_atom_counts_rejects_off_atom_samples():
+    p, _ = _two_bumps()
+    jittered = sample_clouds(p, ATOMS, [50], seed=5, jitter=1e-3)[0]
+    with pytest.raises(ValueError):
+        atom_counts(jittered, ATOMS)
+    with pytest.raises(ValueError):
+        atom_counts(np.array([ATOMS[-1] + 0.1]), ATOMS)
+    with pytest.raises(ValueError):
+        atom_counts(ATOMS[:3], ATOMS[::-1])
+
+
+def test_count_form_validation():
+    c = np.zeros(ATOMS.size, dtype=int)
+    with pytest.raises(ValueError):
+        median_bandwidth_counts(c, c + 1, ATOMS)
+    one = c.copy()
+    one[4] = 1
+    kern = median_bandwidth_mixture(np.zeros(1), np.ones(1))
+    with pytest.raises(ValueError):
+        mmd2_counts(one, one * 3, ATOMS, kern)
+    with pytest.raises(ValueError):
+        mmd2_counts(c[:-1] + 2, c[:-1] + 2, ATOMS, kern)
+    with pytest.raises(ValueError):
+        chain_energy_counts([one * 2], ATOMS, [])
+
+
+def test_stage_gate_agrees_with_pairwise_chain_energy():
+    sizes = [60, 90, 130, 190]
+    ctx = PipelineContext({"projection": {"lip_trials": 2},
+                           "chain": {"sizes": sizes}})
+    for stage in ("generate", "fit", "project", "gate"):
+        getattr(ctx, f"stage_{stage}")()
+    cc, grid = ctx.config["chain"], ctx.art["grid"]
+    n_mat = cc["n_maturities_used"]
+    tau_idx = np.linspace(0, grid.maturities.size - 1, n_mat).round().astype(int)
+    densities = [extract_density(ctx.art["C_proj"], grid, int(i),
+                                 FdConfig(**ctx.config["fd"]))[0]
+                 for i in tau_idx]
+    atoms = grid.strikes / ctx.config["market"]["spot"]
+    octaves = tuple(cc["octaves"])
+    for s_i, n_s in enumerate(sizes):
+        clouds = [sample_clouds(d, atoms, [n_s],
+                                seed=ctx._seed(f"cloud-{s_i}-{m}"))[0]
+                  for m, d in enumerate(densities)]
+        want, _, kernels = chain_energy(
+            clouds, np.full(n_mat - 1, 1.0 / (n_mat - 1)),
+            kernel_policy=lambda a, b: median_bandwidth_mixture(
+                a, b, octaves=octaves),
+            return_kernels=True)
+        got = ctx.summary["R2"]["values"][s_i]
+        assert abs(got - want) <= 1e-12 * abs(want) + 1e-14
+    assert ctx.summary["R2"]["pair_kernel_scales"] == [
+        k.components[-1][1] for k in kernels]
 
 
 # ---------------------------------------------------------------------------

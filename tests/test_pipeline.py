@@ -130,3 +130,13 @@ def test_cli_deep_stage_resolves_dependencies(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "Risk" in doc
     assert doc["Risk"]["bound_holds"] is True
+
+
+def test_cli_single_stage_is_timed(capsys):
+    # a single-stage run times the requested stage and each dependency
+    rc = cli_main(["gate"])
+    assert rc == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert set(meta) == {"wall_generate", "wall_fit", "wall_project",
+                         "wall_gate"}
+    assert all(t >= 0 for t in meta.values())
