@@ -249,15 +249,16 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float((at(total // 2 - 1) + at(total // 2)) / 2.0)
 
 
-def median_bandwidth_counts(c_x, c_y, atoms, octaves=(-1, 0, 1),
-                            imq_shape: float = 0.5) -> KernelMixture:
-    """``median_bandwidth_mixture`` of two clouds given as atom counts."""
+def median_bandwidth_counts(c_x, c_y, atoms,
+                            octaves=(-1, 0, 1)) -> KernelMixture:
+    """``median_bandwidth_mixture`` (default IMQ shape) of two clouds given
+    as atom counts."""
     sq = _atom_sq_dists(atoms)
     c_x, c_y = _as_counts(c_x, sq.shape[0]), _as_counts(c_y, sq.shape[0])
     if c_x.sum() == 0 or c_y.sum() == 0:
         raise ValueError("both samples must be nonempty")
     sigma = _weighted_median(np.sqrt(sq).ravel(), np.outer(c_x, c_y).ravel())
-    return _mixture_at(sigma, octaves, imq_shape)
+    return _mixture_at(sigma, octaves, 0.5)
 
 
 def mmd2_counts(c_x, c_y, atoms, kernel: KernelMixture) -> float:
@@ -275,20 +276,17 @@ def mmd2_counts(c_x, c_y, atoms, kernel: KernelMixture) -> float:
     return float(t_xx + t_yy - t_xy)
 
 
-def chain_energy_counts(counts, atoms, edge_weights, octaves=(-1, 0, 1),
-                        return_kernels: bool = False):
+def chain_energy_counts(counts, atoms, edge_weights, octaves=(-1, 0, 1)):
     """``chain_energy`` with the median-heuristic mixture per pair, for
-    slices given as count vectors over the same atoms."""
+    slices given as count vectors over the same atoms; returns the total,
+    the per-edge MMD^2 and the per-edge mixtures."""
     w = _edge_weights(len(counts), edge_weights)
     pairs = list(zip(counts[:-1], counts[1:]))
     kernels = [median_bandwidth_counts(a, b, atoms, octaves=octaves)
                for a, b in pairs]
     per_edge = np.asarray([mmd2_counts(a, b, atoms, k)
                            for (a, b), k in zip(pairs, kernels)])
-    total = float(w @ per_edge)
-    if return_kernels:
-        return total, per_edge, kernels
-    return total, per_edge
+    return float(w @ per_edge), per_edge, kernels
 
 
 def n_eff(n: int, alpha_coeffs, gamma: float = 1.0, c_gamma: float = 1.0) -> float:

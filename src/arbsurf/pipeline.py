@@ -370,8 +370,7 @@ class PipelineContext:
                               seed=self._seed(f"cloud-{s_i}-{m}"))[0], atoms)
                       for m, d in enumerate(densities)]
             total, _, kernels = cs.chain_energy_counts(
-                counts, atoms, edge_w, octaves=tuple(cc["octaves"]),
-                return_kernels=True)
+                counts, atoms, edge_w, octaves=tuple(cc["octaves"]))
             values.append(total)
             kernel_scales = [k.components[-1][1] for k in kernels]
         values = np.asarray(values)
