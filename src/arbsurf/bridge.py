@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+from .fd import weighted_operator_norm
+
 __all__ = [
     "TriMarginalProblem",
     "BridgeKernels",
@@ -132,20 +134,6 @@ def _whiten_factor(phi: np.ndarray):
     return phi_hat, float(np.log(s[0])), U @ Vt
 
 
-def _power_iteration_norm(M: np.ndarray, n_iter: int = 120, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(n_iter):
-        u = M @ v
-        v = M.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        v /= nv
-    return float(np.linalg.norm(M @ v))
-
-
 def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
     """Gibbs kernels per annealing stage, with whitened factors and low-rank
     error proxies.
@@ -183,10 +171,9 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
             phi23 = C23 @ V23 / np.sqrt(lam23)[None, :]
             K12_hat = phi12 @ phi12.T
             K23_hat = phi23 @ phi23.T
-            delta = max(_power_iteration_norm(K12 - K12_hat),
-                        _power_iteration_norm(K23 - K23_hat))
+            delta = max(weighted_operator_norm(K12 - K12_hat, np.ones(n), n_iter=120),
+                        weighted_operator_norm(K23 - K23_hat, np.ones(n), n_iter=120))
             phi12_hat, ls12, phi12_on = _whiten_factor(phi12)
-            _, _, _ = _whiten_factor(phi23)
             logK12 = np.log(np.maximum(K12_hat, 1e-300))
             logK23 = np.log(np.maximum(K23_hat, 1e-300))
             phi2_on = phi12_on
@@ -201,8 +188,8 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
             phi = np.sqrt(2.0 / m) * np.cos(problem.x[:, None] * omegas[None, :]
                                             + shifts[None, :])
             K_hat = phi @ phi.T
-            delta = max(_power_iteration_norm(K12 - K_hat),
-                        _power_iteration_norm(K23 - K_hat))
+            delta = max(weighted_operator_norm(K12 - K_hat, np.ones(n), n_iter=120),
+                        weighted_operator_norm(K23 - K_hat, np.ones(n), n_iter=120))
             phi_hat, ls, phi_on = _whiten_factor(phi)
             logK12 = np.log(np.maximum(K_hat, 1e-300))
             logK23 = logK12

@@ -11,18 +11,8 @@ import argparse
 import json
 import sys
 
-from .pipeline import (STAGES, PipelineContext, RunConfig, run_pipeline,
-                       summary_to_json)
-
-_STAGE_DEPS = {
-    "generate": (),
-    "fit": ("generate",),
-    "bridge": ("generate", "fit"),
-    "project": ("generate", "fit"),
-    "gate": ("generate", "fit", "project"),
-    "descend": ("generate", "fit", "project"),
-    "risk": ("generate", "fit", "bridge", "project", "gate", "descend"),
-}
+from .pipeline import (STAGE_DEPS, STAGES, PipelineContext, RunConfig,
+                       run_pipeline, summary_to_json)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +62,7 @@ def main(argv=None) -> int:
 
     ctx = PipelineContext(cfg, out_dir=args.out)
     try:
-        for name in _STAGE_DEPS[stage] + (stage,):
+        for name in STAGE_DEPS[stage] + (stage,):
             ctx._timed(name, getattr(ctx, f"stage_{name}"))
     except Exception as exc:
         print(f"pipeline stage '{stage}' failed: {exc}", file=sys.stderr)

@@ -135,7 +135,7 @@ def projected_descent(initial_states, targets, graph: PathGraph,
         accepted = e_new <= e_old * (1.0 + cfg.trust_region_rel) + 1e-300
         if accepted:
             x = pulled
-        traj.append({"step": t + 1, "chain_energy": energy(x),
+        traj.append({"step": t + 1, "chain_energy": e_new if accepted else e_old,
                      "data_fit": data_fit(x), "accepted": bool(accepted)})
     return traj, x.reshape(shape0)
 

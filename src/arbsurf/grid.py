@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,13 @@ class Grid2D:
     def shape(self) -> tuple[int, int]:
         return (self.maturities.size, self.strikes.size)
 
+    @cached_property
+    def _quadrature(self) -> np.ndarray:
+        q = np.outer(trapezoid_weights(self.maturities),
+                     trapezoid_weights(self.strikes))
+        q.flags.writeable = False
+        return q
+
 
 @dataclass(frozen=True)
 class WeightField:
@@ -125,10 +133,11 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 
 def quadrature_matrix(grid: Grid2D) -> np.ndarray:
-    """Tensor trapezoid weights T_i * S_j on the 2D grid (maturity rows)."""
-    t = trapezoid_weights(grid.maturities)
-    s = trapezoid_weights(grid.strikes)
-    return np.outer(t, s)
+    """Tensor trapezoid weights T_i * S_j on the 2D grid (maturity rows).
+
+    Computed once per grid; the array is read-only.
+    """
+    return grid._quadrature
 
 
 def _as_values(f) -> np.ndarray:

@@ -33,9 +33,20 @@ from .smolyak import (AnisotropyConfig, _bilinear_eval, error_frontier,
 from .synth import MarketParams, extract_density, generate_surface, sample_clouds
 
 __all__ = ["DEFAULT_CONFIG", "RunConfig", "run_pipeline", "PipelineContext",
-           "STAGES"]
+           "STAGES", "STAGE_DEPS"]
 
-STAGES = ("generate", "fit", "bridge", "project", "gate", "descend", "risk")
+# each stage, in the order the full run takes them, with the earlier stages
+# whose artifacts it reads (directly or through another dependency)
+STAGE_DEPS = {
+    "generate": (),
+    "fit": ("generate",),
+    "bridge": ("generate", "fit"),
+    "project": ("generate", "fit"),
+    "gate": ("generate", "fit", "project"),
+    "descend": ("generate", "fit", "project"),
+    "risk": ("generate", "fit", "bridge", "project", "gate", "descend"),
+}
+STAGES = tuple(STAGE_DEPS)
 
 DEFAULT_CONFIG = {
     "seed": 7,
@@ -170,6 +181,10 @@ class PipelineContext:
         t0 = time.perf_counter()
         fn()
         self.summary["meta"][f"wall_{name}"] = time.perf_counter() - t0
+
+    def _count_projections(self, sequence: str, counters: dict):
+        for name, count in counters.items():
+            self.summary["meta"][f"proj_{sequence}_{name}"] = count
 
     # -- stages -----------------------------------------------------------
     def stage_generate(self):
@@ -339,6 +354,7 @@ class PipelineContext:
                                         rng_seed=self._seed("lip-pairs"))
         proj = project_to_cone(self.art["G_hat"], w, pcfg)
         self.art.update(proj_certs=certs, C_proj=proj, proj_cfg=pcfg)
+        self._count_projections("certificates", certs.projections)
         thr = cfg["thresholds"]
         self.summary["C3"] = {
             "lip_emp": certs.lip_emp,
@@ -424,6 +440,7 @@ class PipelineContext:
             projector, dcfg, seed=self._seed("descent"))
         C_hat = Surface(np.maximum(final, 0.0), grid)
         self.art.update(descent_traj=traj, C_hat=C_hat, graph=graph)
+        self._count_projections("descent", warm.counters())
         energies = [r["chain_energy"] for r in traj]
         log_e = np.log(np.asarray(energies) + 1e-300)
         slope = float(np.polyfit(np.arange(log_e.size), log_e, 1)[0])

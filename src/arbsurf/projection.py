@@ -93,23 +93,45 @@ class ProjectionConfig:
 
 @dataclass
 class ProjectionCertificates:
+    """``projections`` holds the solver counters of the certificate's
+    projections (``ProjectionWarmStart.counters``)."""
+
     lip_emp: float
     dup_ok: bool
     dup_tv_path: np.ndarray = field(default_factory=lambda: np.array([]))
+    projections: dict = field(default_factory=dict)
 
 
 @dataclass
 class ProjectionWarmStart:
-    """Active set carried between related ``project_to_cone`` calls.
+    """Solver state carried between related ``project_to_cone`` calls.
 
     Pass one instance to a sequence of projections of nearby surfaces on the
-    same grid and weight (perturbation pairs, descent steps).  It changes
-    only how fast the solver finds the active set, not what it returns
-    beyond rounding.
+    same grid and weight (perturbation pairs, descent steps).  It holds the
+    last active set, from which the next call starts, and the last Newton
+    step's working set with its Gram band and Cholesky factor, which a later
+    step with the same working set reuses.  Both belong to one grid, weight
+    and ``nonneg`` (``key``) and are dropped when a call brings another.
+    The active set changes only how fast the solver finds the solution, not
+    what it returns beyond rounding; reusing the factor changes nothing.
+
+    The counters tally the calls that received this instance, their Newton
+    steps, the steps that reused the factor and the calls that went on to
+    the Goldfarb-Idnani method.
     """
 
     key: object = None
     active: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    factor: tuple | None = None
+    calls: int = 0
+    newton_steps: int = 0
+    factor_reuses: int = 0
+    gi_handoffs: int = 0
+
+    def counters(self) -> dict:
+        return {"calls": self.calls, "newton_steps": self.newton_steps,
+                "factor_reuses": self.factor_reuses,
+                "gi_handoffs": self.gi_handoffs}
 
 
 def pav_isotonic(seq, weights, direction: str = "nondecreasing") -> np.ndarray:
@@ -255,6 +277,7 @@ class _Cone:
         coef = coef * np.append(1.0 / self.sqrt_omega, 0.0)[cols]
         self.nu = np.sqrt(np.sum(coef**2, axis=1))
         self.cols, self.coef = cols, coef / self.nu[:, None]
+        self.abs_coef = np.abs(self.coef)
 
         S = sp.csr_array((self.coef.ravel(), cols.ravel(),
                           np.arange(0, 3 * self.m + 1, 3)), shape=(self.m, n + 1))
@@ -274,19 +297,22 @@ class _Cone:
         """S u: every constraint's value, scaled to a unit normal."""
         return np.einsum("ij,ij->i", self.coef, np.concatenate((u, [0.0]))[self.cols])
 
-    def tolerance(self, absolute: float, relative: float, v: np.ndarray,
-                  rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Per-row threshold on the scaled values S (v + S[rows]^T lam).
-
-        ``absolute`` price units expressed in scaled units, or ``relative``
-        times the magnitude of the terms summed into the value (the scale of
-        its rounding), whichever is larger.
-        """
+    def rounding(self, v: np.ndarray, rows: np.ndarray | None = None,
+                 lam: np.ndarray | None = None) -> np.ndarray:
+        """Magnitude of the terms summed into each scaled value
+        S (v + S[rows]^T lam), the scale of its rounding."""
         spread = np.concatenate((np.abs(v), [0.0]))
-        spread += np.bincount(self.cols[rows].ravel(),
-                              (np.abs(self.coef[rows]) * np.abs(lam)[:, None]).ravel(),
-                              minlength=self.n + 1)
-        terms = np.einsum("ij,ij->i", np.abs(self.coef), spread[self.cols])
+        if rows is not None:
+            spread += np.bincount(self.cols[rows].ravel(),
+                                  (self.abs_coef[rows] * np.abs(lam)[:, None]).ravel(),
+                                  minlength=self.n + 1)
+        return np.einsum("ij,ij->i", self.abs_coef, spread[self.cols])
+
+    def threshold(self, absolute: float, relative: float,
+                  terms: np.ndarray) -> np.ndarray:
+        """Per-row threshold on the scaled values: ``absolute`` price units
+        in scaled units, or ``relative`` times the rounding terms, whichever
+        is larger."""
         return np.maximum(absolute / self.nu, relative * terms)
 
     def combine(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -294,6 +320,12 @@ class _Cone:
         return np.bincount(self.cols[rows].ravel(),
                            (self.coef[rows] * lam[:, None]).ravel(),
                            minlength=self.n + 1)[:self.n]
+
+    def check(self, v: np.ndarray, rows: np.ndarray, lam: np.ndarray):
+        """``u = v + S[rows]^T lam``, its values ``S u`` and their rounding
+        terms.  Rows with ``lam = 0`` add exact zeros to all three."""
+        u = v + self.combine(rows, lam)
+        return u, self.values(u), self.rounding(v, rows, lam)
 
     def _place(self, rows: np.ndarray) -> np.ndarray:
         """Position of each constraint within ``rows``, -1 if absent."""
@@ -347,23 +379,31 @@ def _cone(grid: Grid2D, omega: np.ndarray, nonneg: bool) -> tuple[_Cone, tuple]:
     return cone, key
 
 
-def _newton(cone: _Cone, b: np.ndarray, W: np.ndarray):
+def _newton(cone: _Cone, b: np.ndarray, W: np.ndarray,
+            warm: ProjectionWarmStart):
     """Multipliers on W of the equality-constrained projection, or None.
 
     Solves ``G_WW lam = -b_W`` with a banded Cholesky factor of the ridged
     Gram matrix; refinement recovers the unridged solution on the range of
     ``G_WW``, where the projection is determined.  On a linearly dependent W
     the ridge keeps the multipliers' null-space part, which the projection
-    does not see, near zero.
+    does not see, near zero.  The band and factor depend on W alone, so
+    those of ``warm``'s last step are reused when W is the same.
     """
+    warm.newton_steps += 1
     if W.size == 0:
         return np.zeros(0)
-    ab = cone.gram_band(W)
-    ridged = ab.copy()
-    ridged[0] += _RIDGE
-    factor, info = dpbtrf(ridged, lower=1)
-    if info != 0:
-        return None
+    if warm.factor is not None and np.array_equal(warm.factor[0], W):
+        warm.factor_reuses += 1
+        _, ab, factor = warm.factor
+    else:
+        ab = cone.gram_band(W)
+        ridged = ab.copy()
+        ridged[0] += _RIDGE
+        factor, info = dpbtrf(ridged, lower=1)
+        if info != 0:
+            return None
+        warm.factor = (W, ab, factor)
     rhs = -b[W]
     lam = dpbtrs(factor, rhs, lower=1)[0]
     for _ in range(3):
@@ -413,10 +453,9 @@ def _goldfarb_idnani(cone: _Cone, v: np.ndarray, b: np.ndarray,
     A, lamA, L = _independent_pair(cone, b, W)
     seen = set()
     for _ in range(20 * cone.m):
-        u = v + cone.combine(A, lamA)
-        s = cone.values(u)
+        u, s, terms = cone.check(v, A, lamA)
         s[A] = 0.0
-        breach = s < -cone.tolerance(_ADD_TOL, _ADD_REL, v, A, lamA)
+        breach = s < -cone.threshold(_ADD_TOL, _ADD_REL, terms)
         p = int(np.argmin(np.where(breach, s, np.inf)))
         state = (p, np.sort(A).tobytes())
         if not breach.any() or state in seen:
@@ -461,35 +500,40 @@ def _goldfarb_idnani(cone: _Cone, v: np.ndarray, b: np.ndarray,
 
 
 def _solve_dual(cone: _Cone, v: np.ndarray, b: np.ndarray,
-                warm: np.ndarray) -> np.ndarray:
+                warm: ProjectionWarmStart):
     """Multipliers of the projection of v (scaled coordinates) onto the cone.
 
     Block active-set Newton steps (the primal-dual active-set method) change
-    many constraints at once and converge in a few steps from a good start.
-    They can cycle; a repeated working set, a failed factorisation or the
-    step limit hands the last working set to the Goldfarb-Idnani method,
-    which terminates.  ``b`` is ``S v``.
+    many constraints at once and converge in a few steps from a good start,
+    here ``warm.active``.  They can cycle; a repeated working set, a failed
+    factorisation or the step limit hands the last working set to the
+    Goldfarb-Idnani method, which terminates.  ``b`` is ``S v``.
+
+    Returns the multipliers and, when a Newton step solved the problem, that
+    step's ``cone.check`` arrays for the certificate; None after the
+    Goldfarb-Idnani method.
     """
     inW = np.zeros(cone.m, dtype=bool)
-    inW[warm] = True
+    inW[warm.active] = True
     seen = set()
     for _ in range(_NEWTON_STEPS):
         W = np.flatnonzero(inW)
-        lam_W = _newton(cone, b, W)
+        lam_W = _newton(cone, b, W, warm)
         if lam_W is None:
             break
-        breach = (cone.values(v + cone.combine(W, lam_W))
-                  < -cone.tolerance(_ADD_TOL, _ADD_REL, v, W, lam_W))
+        u, s, terms = cone.check(v, W, lam_W)
+        breach = s < -cone.threshold(_ADD_TOL, _ADD_REL, terms)
         lam = np.zeros(cone.m)
         lam[W] = lam_W
         if not breach.any() and lam.min() >= 0:
-            return lam
+            return lam, (u, s, terms)
         inW = (lam > 0) | (breach & ~inW)
         key = inW.tobytes()
         if key in seen:
             break
         seen.add(key)
-    return _goldfarb_idnani(cone, v, b, np.flatnonzero(inW))
+    warm.gi_handoffs += 1
+    return _goldfarb_idnani(cone, v, b, np.flatnonzero(inW)), None
 
 
 def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(),
@@ -508,10 +552,10 @@ def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(
     that tolerance, or to the rounding-scaled tolerance the module docstring
     gives.  A result that fails the certificate raises ``RuntimeError``.
 
-    ``warm`` carries the active set from one call to the next; it speeds up
-    sequences of projections of nearby surfaces.  With ``cfg.tv2_lambda > 0``
-    a second-difference smoothing is applied afterwards and kept only if it
-    stays in the cone.
+    ``warm`` carries the active set and the last Newton factor from one call
+    to the next; it speeds up sequences of projections of nearby surfaces.
+    With ``cfg.tv2_lambda > 0`` a second-difference smoothing is applied
+    afterwards and kept only if it stays in the cone.
     """
     if isinstance(C, Surface):
         grid = C.grid
@@ -524,20 +568,25 @@ def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(
         raise ValueError("C must be a finite array of the grid's shape")
     omega = w.w * quadrature_matrix(grid)
     cone, key = _cone(grid, omega, cfg.nonneg)
+    if warm is None:
+        warm = ProjectionWarmStart()
+    if warm.key != key:
+        warm.key, warm.active, warm.factor = key, np.zeros(0, dtype=np.intp), None
+    warm.calls += 1
 
     v = cone.sqrt_omega * values.ravel()
     s = cone.values(v)
-    none = np.zeros(0, dtype=np.intp)
-    if np.all(s >= -cone.tolerance(_ADD_TOL, _ADD_REL, v, none, none)):
+    if np.all(s >= -cone.threshold(_ADD_TOL, _ADD_REL, cone.rounding(v))):
         x = values.copy()
     else:
-        start = warm.active if warm is not None and warm.key == key else none
-        lam = _solve_dual(cone, v, s, start)
+        lam, check = _solve_dual(cone, v, s, warm)
         active = np.flatnonzero(lam > 0)
-        u = v + cone.combine(active, lam[active])
-        s = cone.values(u)
+        # the certificate runs on the very u whose x is returned: the last
+        # Newton step's, or recomputed after the Goldfarb-Idnani method
+        u, s, terms = (check if check is not None
+                       else cone.check(v, active, lam[active]))
         x = (u / cone.sqrt_omega).reshape(values.shape)
-        cert = cone.tolerance(_FEAS_TOL, _FEAS_REL, v, active, lam[active])
+        cert = cone.threshold(_FEAS_TOL, _FEAS_REL, terms)
         breach = float(np.max(-s / cert))
         slack = float(np.max(np.abs(s[active]) / cert[active], initial=0.0))
         if not (lam.min() >= 0 and breach <= 1.0 and slack <= 1.0):
@@ -545,8 +594,7 @@ def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(
                 "cone projection failed its KKT certificate: largest breach "
                 f"{breach:.3g} and largest slack of an active constraint "
                 f"{slack:.3g}, in units of the tolerance")
-        if warm is not None:
-            warm.key, warm.active = key, active
+        warm.active = active
 
     if cfg.tv2_lambda > 0:
         smoothed = _tv2_smooth(x, grid, omega, cfg.tv2_lambda)
@@ -605,4 +653,4 @@ def projection_certificates(C_raw, w: WeightField,
     tvs = np.asarray(tvs)
     dup_ok = bool(np.all(np.diff(tvs) <= 1e-9))
     return ProjectionCertificates(lip_emp=float(lip), dup_ok=dup_ok,
-                                  dup_tv_path=tvs)
+                                  dup_tv_path=tvs, projections=warm.counters())

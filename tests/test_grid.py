@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from arbsurf.grid import (Grid2D, Surface, WeightField, check_mesh_admissibility,
                           quadrature_matrix, surface_from_json, surface_to_json,
-                          uniform_weight, unweighted_norm, vega_bump_weight,
-                          weighted_inner, weighted_norm)
+                          trapezoid_weights, uniform_weight, unweighted_norm,
+                          vega_bump_weight, weighted_inner, weighted_norm)
 
 from conftest import bs_call, bs_gamma_K
 
@@ -33,6 +33,18 @@ def test_weight_field_invariants(grid21x11):
         WeightField(np.full(grid21x11.shape, 2.0))   # not unit mean
     with pytest.raises(ValueError):
         WeightField(np.zeros(grid21x11.shape))
+
+
+def test_quadrature_matrix_is_fixed_per_grid(grid21x11):
+    q = quadrature_matrix(grid21x11)
+    np.testing.assert_array_equal(
+        q, np.outer(trapezoid_weights(grid21x11.maturities),
+                    trapezoid_weights(grid21x11.strikes)))
+    with pytest.raises(ValueError):
+        q[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        q *= 2.0
+    np.testing.assert_array_equal(quadrature_matrix(grid21x11), q)
 
 
 def test_norm_zero_field(grid21x11, weight21x11):

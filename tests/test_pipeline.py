@@ -138,5 +138,8 @@ def test_cli_single_stage_is_timed(capsys):
     assert rc == 0
     meta = json.loads(capsys.readouterr().out)["meta"]
     assert set(meta) == {"wall_generate", "wall_fit", "wall_project",
-                         "wall_gate"}
+                         "wall_gate", "proj_certificates_calls",
+                         "proj_certificates_newton_steps",
+                         "proj_certificates_factor_reuses",
+                         "proj_certificates_gi_handoffs"}
     assert all(t >= 0 for t in meta.values())

@@ -240,6 +240,63 @@ def test_warm_start_does_not_change_the_result(grid21x11, weight21x11,
     assert warm.active.size > 0
 
 
+def _warm_sequences(g, w, base, rng):
+    """Inputs of a descent-like sequence (small steps from a projected
+    surface) and of a run of Lipschitz perturbation pairs."""
+    descent = []
+    x = project_to_cone(base + 0.5 * rng.standard_normal(g.shape), w,
+                        grid=g).values
+    for _ in range(40):
+        x = x + 2e-3 * rng.standard_normal(g.shape)
+        descent.append(x)
+        x = project_to_cone(x, w, grid=g).values
+    scale = 0.01 * weighted_norm(base, w, g)
+    pairs = []
+    for _ in range(40):
+        d = rng.standard_normal(g.shape)
+        pairs.append(base + d * (scale / weighted_norm(d, w, g)))
+    return descent, pairs
+
+
+def test_factor_reuse_is_bit_identical(grid21x11, weight21x11, bs_surface_21x11):
+    g, w = grid21x11, weight21x11
+    for inputs in _warm_sequences(g, w, bs_surface_21x11,
+                                  np.random.default_rng(17)):
+        reused, cleared = ProjectionWarmStart(), ProjectionWarmStart()
+        for C in inputs:
+            cleared.factor = None
+            a = project_to_cone(C, w, grid=g, warm=reused).values
+            b = project_to_cone(C, w, grid=g, warm=cleared).values
+            np.testing.assert_array_equal(a, b)
+        assert reused.calls == cleared.calls == len(inputs)
+        assert reused.newton_steps == cleared.newton_steps
+        assert 0 < reused.factor_reuses <= reused.newton_steps
+        assert cleared.factor_reuses == 0
+
+
+def test_warm_start_from_another_weight_or_grid_is_cold(
+        grid21x11, weight21x11, bs_surface_21x11):
+    # the bump breaches two coupled constraints, whatever the weight; the
+    # first call ends on a Newton step over just those two, and so does the
+    # second, so a factor kept from the first weight would be reused
+    g = grid21x11
+    C = bs_surface_21x11.copy()
+    C[5, 4:6] += 0.2
+    warm = ProjectionWarmStart()
+    project_to_cone(C, weight21x11, grid=g, warm=warm)
+    assert warm.active.size == 2 and warm.factor is not None
+    r = np.random.default_rng(18).uniform(0.5, 2.0, g.shape)
+    g15 = Grid2D(np.linspace(80.0, 120.0, 15), np.linspace(0.1, 1.1, 9))
+    K, T = np.meshgrid(g15.strikes, g15.maturities)
+    C15 = bs_call(100.0, K, T, 0.2) + 0.5 * np.random.default_rng(19).standard_normal(
+        g15.shape)
+    for grid, w, values in ((g, WeightField(r / r.mean()), C),
+                            (g15, vega_bump_weight(g15, 100.0), C15)):
+        cold = project_to_cone(values, w, grid=grid).values
+        carried = project_to_cone(values, w, grid=grid, warm=warm).values
+        np.testing.assert_array_equal(carried, cold)
+
+
 def test_dykstra_rounds_has_no_effect(grid21x11, weight21x11, bs_surface_21x11):
     C = bs_surface_21x11 + np.random.default_rng(14).standard_normal(
         grid21x11.shape)
@@ -266,7 +323,7 @@ def test_projection_refuses_a_result_that_fails_its_certificate(
     # be returned
     import arbsurf.projection as projection
     monkeypatch.setattr(projection, "_solve_dual",
-                        lambda cone, v, b, warm: np.zeros(cone.m))
+                        lambda cone, v, b, warm: (np.zeros(cone.m), None))
     C = bs_surface_21x11 + np.random.default_rng(16).standard_normal(
         grid21x11.shape)
     with pytest.raises(RuntimeError, match="KKT certificate"):
