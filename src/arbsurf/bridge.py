@@ -71,8 +71,8 @@ class TriMarginalProblem:
         if np.any(eps <= 0) or (eps.size > 1 and np.any(np.diff(eps) >= 0)):
             raise ValueError("epsilon_schedule must be strictly decreasing and positive")
         self.epsilon_schedule = tuple(eps.tolist())
-        if self.feature_kind not in ("dense", "nystrom", "rff"):
-            raise ValueError("feature_kind must be dense, nystrom or rff")
+        if self.feature_kind not in ("dense", "nystrom"):
+            raise ValueError("feature_kind must be dense or nystrom")
         if self.rank is not None and self.rank > self.x.size:
             raise ValueError("rank cannot exceed the grid size")
 
@@ -138,10 +138,10 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
     """Gibbs kernels per annealing stage, with whitened factors and low-rank
     error proxies.
 
-    Dense mode stores exact log-kernels -c/eps.  Nystrom (evenly spaced
-    landmark columns) and RFF modes materialize the rank-limited kernel
-    (memory stays O(n^2)), floor tiny or negative entries before the log, and
-    record the operator-error proxy delta estimated by power iteration on the
+    Dense mode stores exact log-kernels -c/eps.  Nystrom mode (evenly spaced
+    landmark columns) materializes the rank-limited kernel (memory stays
+    O(n^2)), floors tiny or negative entries before the log, and records the
+    operator-error proxy delta estimated by power iteration on the
     residual.
     """
     n = problem.n
@@ -159,7 +159,7 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
             _, _, phi2_on = _whiten_factor(phi2)
             factors = {"kind": "dense"}
             delta = 0.0
-        elif problem.feature_kind == "nystrom":
+        else:  # nystrom
             idx = np.unique(np.linspace(0, n - 1, rank).round().astype(int))
             C12, W12 = K12[:, idx], K12[np.ix_(idx, idx)]
             C23, W23 = K23[:, idx], K23[np.ix_(idx, idx)]
@@ -179,22 +179,6 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
             phi2_on = phi12_on
             factors = {"kind": "nystrom", "phi12": phi12_hat,
                        "log_scale12": ls12, "landmarks": idx}
-        else:  # rff
-            m = rank
-            rng = np.random.default_rng(12345)
-            sigma2 = eps / 2.0
-            omegas = rng.standard_normal(m) / np.sqrt(sigma2)
-            shifts = rng.uniform(0, 2 * np.pi, m)
-            phi = np.sqrt(2.0 / m) * np.cos(problem.x[:, None] * omegas[None, :]
-                                            + shifts[None, :])
-            K_hat = phi @ phi.T
-            delta = max(weighted_operator_norm(K12 - K_hat, np.ones(n), n_iter=120),
-                        weighted_operator_norm(K23 - K_hat, np.ones(n), n_iter=120))
-            phi_hat, ls, phi_on = _whiten_factor(phi)
-            logK12 = np.log(np.maximum(K_hat, 1e-300))
-            logK23 = logK12
-            phi2_on = phi_on
-            factors = {"kind": "rff", "phi": phi_hat, "log_scale": ls}
         stages.append(StageKernels(eps=eps, logK12=logK12, logK23=logK23,
                                    phi2=phi2_on, factors=factors,
                                    delta=float(delta)))

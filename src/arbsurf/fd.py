@@ -4,7 +4,8 @@ Strike curvature C_KK comes from quadratic least-squares fits on sliding
 windows (cubic at the one-sided boundary windows, which keeps the O(h_K^2)
 truncation order there).  The calendar derivative C_tau uses linear fits on
 backward-shifted windows and is genuinely first order in h_tau.  Both
-operators are linear maps and are exposed as explicit stencil matrices.
+operators are linear maps and are exposed as explicit stencil matrices;
+``fd_derivatives`` builds them once per grid and window pair.
 """
 
 from __future__ import annotations
@@ -111,6 +112,20 @@ def dtau_matrix(maturities: np.ndarray, window: int = 3) -> np.ndarray:
     return S
 
 
+def _stencils(grid: Grid2D, cfg: FdConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``dkk_matrix`` and ``dtau_matrix`` of the grid at cfg's windows, built
+    once per grid and window pair; the arrays are read-only."""
+    key = (cfg.window_K, cfg.window_tau)
+    pair = grid._stencils.get(key)
+    if pair is None:
+        pair = (dkk_matrix(grid.strikes, cfg.window_K),
+                dtau_matrix(grid.maturities, cfg.window_tau))
+        for S in pair:
+            S.flags.writeable = False
+        grid._stencils[key] = pair
+    return pair
+
+
 def fd_derivatives(C, grid: Grid2D, cfg: FdConfig = FdConfig(),
                    admissibility: AdmissibilityReport | None = None):
     """Return (C_KK, C_tau) fields on the grid.
@@ -123,8 +138,7 @@ def fd_derivatives(C, grid: Grid2D, cfg: FdConfig = FdConfig(),
     if admissibility is not None and not admissibility.passed:
         warnings.warn("mesh admissibility check failed; FD error bounds may not hold",
                       stacklevel=2)
-    SK = dkk_matrix(grid.strikes, cfg.window_K)
-    ST = dtau_matrix(grid.maturities, cfg.window_tau)
+    SK, ST = _stencils(grid, cfg)
     c_kk = values @ SK.T
     c_tau = ST @ values
     return c_kk, c_tau

@@ -79,6 +79,12 @@ class Grid2D:
         q.flags.writeable = False
         return q
 
+    @cached_property
+    def _stencils(self) -> dict:
+        """Finite-difference stencils of this grid by window, filled by
+        ``fd``."""
+        return {}
+
 
 @dataclass(frozen=True)
 class WeightField:

@@ -22,8 +22,15 @@ problem is solved by block active-set Newton steps; when those cycle, the
 Goldfarb-Idnani dual active-set method finishes from their last working
 set.  It keeps the active constraints linearly independent, so the
 degenerate duals found where many constraints meet need no special care.
-``pav_isotonic`` and ``convex_in_strike`` are the exact projections onto one
-family each.
+
+The Newton steps run on a stack of independent problems on one grid and
+weight: their working sets are stacked, the Gram matrix is block diagonal
+and one banded factorisation and solve serve the whole stack per step.
+``project_to_cone`` is the stack of one; ``projection_certificates`` solves
+its perturbed surfaces in stacks of ``_STACK``.  Each member leaves the
+stack when it is solved, or alone for the Goldfarb-Idnani method, and is
+certified on its own.  ``pav_isotonic`` and ``convex_in_strike`` are the
+exact projections onto one family each.
 """
 
 from __future__ import annotations
@@ -66,6 +73,11 @@ _RIDGE = 1e-6
 # ones below which it counts as linearly dependent on them
 _DEPENDENT = 1e-11
 _NEWTON_STEPS = 30
+# members per stacked solve in projection_certificates, even so that each
+# perturbation pair lies in one stack.  At 31x11 the stacked Gram band of 16
+# members takes about 0.5 MB; larger stacks solve hardly faster and raise
+# the process's peak memory by the larger transient arrays
+_STACK = 16
 
 
 @dataclass(frozen=True)
@@ -94,7 +106,15 @@ class ProjectionConfig:
 @dataclass
 class ProjectionCertificates:
     """``projections`` holds the solver counters of the certificate's
-    projections (``ProjectionWarmStart.counters``)."""
+    projections (``ProjectionWarmStart.counters``):
+
+    * ``calls``: projections made, ``2 * trials + 1`` (the base surface and
+      every perturbed one);
+    * ``newton_steps``: Newton steps summed over the members of each stack;
+    * ``factor_reuses``: of those, the steps served by a factor made for
+      another member of the stack or kept from an earlier step;
+    * ``gi_handoffs``: members finished by the Goldfarb-Idnani method.
+    """
 
     lip_emp: float
     dup_ok: bool
@@ -114,15 +134,21 @@ class ProjectionWarmStart:
     and ``nonneg`` (``key``) and are dropped when a call brings another.
     The active set changes only how fast the solver finds the solution, not
     what it returns beyond rounding; reusing the factor changes nothing.
+    ``prepared`` maps the bytes of an input to its projection when a stacked
+    solve has already made it (``projection_certificates``); the call that
+    brings that input returns it.
 
-    The counters tally the calls that received this instance, their Newton
-    steps, the steps that reused the factor and the calls that went on to
-    the Goldfarb-Idnani method.
+    The counters tally the projections solved with this instance (each
+    member of a stack counts once), their Newton steps (per member), the
+    member-steps served by a factor made for another member or kept from an
+    earlier step, and the members that went on to the Goldfarb-Idnani
+    method.
     """
 
     key: object = None
     active: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     factor: tuple | None = None
+    prepared: dict = field(default_factory=dict)
     calls: int = 0
     newton_steps: int = 0
     factor_reuses: int = 0
@@ -246,7 +272,10 @@ class _Cone:
     of ``S`` is ``a_i / sqrt(omega) / nu_i``, a unit vector, so that
     ``a_i . x = nu_i * (S u)_i``.  Each row touches at most three nodes and
     is stored as three node indices and coefficients; node ``n`` is a dummy
-    with coefficient 0.  Rows are ordered by their first node in
+    with coefficient 0, and vectors in scaled coordinates carry it as a last
+    entry that stays 0.  The methods take a stack of k problems, one per
+    row of each array; stacked constraint ``member*m + row`` is that
+    member's constraint ``row``.  Rows are ordered by their first node in
     strike-major order, which makes the Gram matrix ``S S^T`` banded.
     """
 
@@ -282,31 +311,59 @@ class _Cone:
         S = sp.csr_array((self.coef.ravel(), cols.ravel(),
                           np.arange(0, 3 * self.m + 1, 3)), shape=(self.m, n + 1))
         # the Gram matrix S S^T row by row: row r meets rows nbr[r] with
-        # inner products gval[r]; padding points at the sentinel row m
+        # inner products gval[r]; padding points at the sentinel row m.
+        # Its lower band needs only the rows at or after r: nbr_lower[r].
         G = (S @ S.T).tocsr()
         G.sort_indices()
-        counts = np.diff(G.indptr)
-        row = np.repeat(np.arange(self.m), counts)
-        slot = np.arange(G.nnz) - G.indptr[row]
-        self.nbr = np.full((self.m, counts.max()), self.m)
-        self.gval = np.zeros((self.m, counts.max()))
-        self.nbr[row, slot] = G.indices
-        self.gval[row, slot] = G.data
+        row = np.repeat(np.arange(self.m), np.diff(G.indptr))
 
-    def values(self, u: np.ndarray) -> np.ndarray:
-        """S u: every constraint's value, scaled to a unit normal."""
-        return np.einsum("ij,ij->i", self.coef, np.concatenate((u, [0.0]))[self.cols])
+        def table(keep):
+            r = row[keep]
+            counts = np.bincount(r, minlength=self.m)
+            slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            nbr = np.full((self.m, counts.max()), self.m)
+            val = np.zeros(nbr.shape)
+            nbr[r, slot] = G.indices[keep]
+            val[r, slot] = G.data[keep]
+            return nbr, val
 
-    def rounding(self, v: np.ndarray, rows: np.ndarray | None = None,
-                 lam: np.ndarray | None = None) -> np.ndarray:
-        """Magnitude of the terms summed into each scaled value
-        S (v + S[rows]^T lam), the scale of its rounding."""
-        spread = np.concatenate((np.abs(v), [0.0]))
-        if rows is not None:
-            spread += np.bincount(self.cols[rows].ravel(),
-                                  (self.abs_coef[rows] * np.abs(lam)[:, None]).ravel(),
-                                  minlength=self.n + 1)
-        return np.einsum("ij,ij->i", self.abs_coef, spread[self.cols])
+        self.nbr, self.gval = table(np.ones(G.nnz, dtype=bool))
+        self.nbr_lower, self.gval_lower = table(G.indices >= row)
+
+    def scale(self, X: np.ndarray) -> np.ndarray:
+        """Scaled coordinates ``sqrt(omega) * x`` of each row of X, with the
+        dummy node (always 0) appended."""
+        V = np.empty((X.shape[0], self.n + 1))
+        V[:, -1] = 0.0
+        np.multiply(self.sqrt_omega, X, out=V[:, :-1])
+        return V
+
+    def _row_sums(self, coef: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Each constraint's coefficients ``coef`` dotted with its nodes, for
+        every row of X (one member each)."""
+        if X.shape[0] == 1:
+            # a lone problem keeps the row-wise form: the stacked form
+            # rounds differently in the last bit
+            return np.einsum("ij,ij->i", coef, X[0][self.cols])[None]
+        return np.einsum("ij,kij->ki", coef, X[:, self.cols])
+
+    def _stacked(self, g: np.ndarray, k: int):
+        """Constraint and node indices of stacked rows ``g = member*m +
+        row`` of k members; member j's nodes are ``j*(n+1) + node``."""
+        if k == 1:
+            return g, self.cols[g]
+        member, row = np.divmod(g, self.m)
+        return row, self.cols[row] + (self.n + 1) * member[:, None]
+
+    def values(self, U: np.ndarray) -> np.ndarray:
+        """S u for each row u of U: every constraint's value, scaled to a
+        unit normal."""
+        return self._row_sums(self.coef, U)
+
+    def rounding(self, V: np.ndarray) -> np.ndarray:
+        """Magnitude of the terms summed into each scaled value S v of each
+        row v of V, the scale of its rounding."""
+        return self._row_sums(self.abs_coef, np.abs(V))
 
     def threshold(self, absolute: float, relative: float,
                   terms: np.ndarray) -> np.ndarray:
@@ -316,35 +373,52 @@ class _Cone:
         return np.maximum(absolute / self.nu, relative * terms)
 
     def combine(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """S[rows]^T lam."""
+        """S[rows]^T lam of one problem, with the dummy node."""
         return np.bincount(self.cols[rows].ravel(),
                            (self.coef[rows] * lam[:, None]).ravel(),
-                           minlength=self.n + 1)[:self.n]
+                           minlength=self.n + 1)
 
-    def check(self, v: np.ndarray, rows: np.ndarray, lam: np.ndarray):
-        """``u = v + S[rows]^T lam``, its values ``S u`` and their rounding
-        terms.  Rows with ``lam = 0`` add exact zeros to all three."""
-        u = v + self.combine(rows, lam)
-        return u, self.values(u), self.rounding(v, rows, lam)
+    def check(self, V: np.ndarray, g: np.ndarray, lam: np.ndarray):
+        """``U = V + S[rows]^T lam`` for stacked rows g, the values ``S u``
+        of each row and their rounding terms, the magnitude of the terms
+        summed into each value.  Rows with ``lam = 0`` add exact zeros to
+        all three."""
+        row, nodes = self._stacked(g, V.shape[0])
+        nodes = nodes.ravel()
+        U = V + np.bincount(nodes, (self.coef[row] * lam[:, None]).ravel(),
+                            minlength=V.size).reshape(V.shape)
+        spread = np.abs(V) + np.bincount(
+            nodes, (self.abs_coef[row] * np.abs(lam)[:, None]).ravel(),
+            minlength=V.size).reshape(V.shape)
+        return U, self._row_sums(self.coef, U), self._row_sums(self.abs_coef, spread)
 
-    def _place(self, rows: np.ndarray) -> np.ndarray:
-        """Position of each constraint within ``rows``, -1 if absent."""
-        where = np.full(self.m + 1, -1)
+    def _place(self, rows: np.ndarray, k: int = 1) -> np.ndarray:
+        """Position of each (stacked) constraint within ``rows``, -1 if
+        absent."""
+        where = np.full(k * self.m + 1, -1)
         where[rows] = np.arange(rows.size)
         return where
 
-    def gram_band(self, W: np.ndarray) -> np.ndarray:
-        """Lower band storage of S[W] S[W]^T for increasing indices W.
+    def gram_band(self, W: np.ndarray, k: int = 1) -> np.ndarray:
+        """Lower band storage of S[W] S[W]^T for increasing stacked indices W
+        (``member*m + row``) of k members.
 
-        The band holds as many diagonals as the coupling of W's rows needs;
-        in this row order that is far fewer than W has rows.
+        Members do not couple, so the matrix is block diagonal.  The band
+        holds as many diagonals as the coupling of W's rows needs; in this
+        row order that is far fewer than W has rows.
         """
-        col = self._place(W)[self.nbr[W]]
-        a = np.arange(W.size)[:, None]
-        d = col - a
-        lower = d >= 0
-        ab = np.zeros((int(d.max()) + 1, W.size))
-        ab[d[lower], np.broadcast_to(a, d.shape)[lower]] = self.gval[W][lower]
+        if k == 1:
+            row, nbr = W, self.nbr_lower[W]
+        else:
+            # neighbours within the member; the sentinel row m goes to k*m
+            member, row = np.divmod(W, self.m)
+            nbr = self.nbr_lower[row]
+            nbr = np.where(nbr < self.m, nbr + (member * self.m)[:, None],
+                           k * self.m)
+        d = self._place(W, k)[nbr] - np.arange(W.size)[:, None]
+        i, j = (d >= 0).nonzero()
+        ab = np.zeros((int(d.max()) + 1, W.size), order="F")
+        ab[d[i, j], i] = self.gval_lower[row[i], j]
         return ab
 
     def gram(self, A: np.ndarray) -> np.ndarray:
@@ -379,37 +453,76 @@ def _cone(grid: Grid2D, omega: np.ndarray, nonneg: bool) -> tuple[_Cone, tuple]:
     return cone, key
 
 
-def _newton(cone: _Cone, b: np.ndarray, W: np.ndarray,
-            warm: ProjectionWarmStart):
-    """Multipliers on W of the equality-constrained projection, or None.
+def _factor(ab: np.ndarray):
+    """Banded Cholesky factor of the ridged band and LAPACK's info."""
+    ridged = ab.copy(order="F")
+    ridged[0] += _RIDGE
+    return dpbtrf(ridged, lower=1, overwrite_ab=1)
 
-    Solves ``G_WW lam = -b_W`` with a banded Cholesky factor of the ridged
-    Gram matrix; refinement recovers the unridged solution on the range of
-    ``G_WW``, where the projection is determined.  On a linearly dependent W
-    the ridge keeps the multipliers' null-space part, which the projection
-    does not see, near zero.  The band and factor depend on W alone, so
-    those of ``warm``'s last step are reused when W is the same.
-    """
-    warm.newton_steps += 1
-    if W.size == 0:
-        return np.zeros(0)
-    if warm.factor is not None and np.array_equal(warm.factor[0], W):
-        warm.factor_reuses += 1
-        _, ab, factor = warm.factor
-    else:
-        ab = cone.gram_band(W)
-        ridged = ab.copy()
-        ridged[0] += _RIDGE
-        factor, info = dpbtrf(ridged, lower=1)
-        if info != 0:
-            return None
-        warm.factor = (W, ab, factor)
-    rhs = -b[W]
+
+def _refined_solve(ab: np.ndarray, factor: np.ndarray,
+                   rhs: np.ndarray) -> np.ndarray:
+    """Solve with the ridged factor, then three steps of refinement against
+    the unridged band."""
     lam = dpbtrs(factor, rhs, lower=1)[0]
     for _ in range(3):
         resid = rhs - dsbmv(ab.shape[0] - 1, 1.0, ab, lam, lower=1)
         lam = lam + dpbtrs(factor, resid, lower=1)[0]
     return lam
+
+
+def _newton(cone: _Cone, B: np.ndarray, inW: np.ndarray, g: np.ndarray,
+            warm: ProjectionWarmStart):
+    """Multipliers of one Newton step for each member of a stack.
+
+    Member i solves ``G_WW lam = -b_W`` on its working set ``W = inW[i]``
+    with a banded Cholesky factor of the ridged Gram matrix; refinement
+    recovers the unridged solution on the range of ``G_WW``, where the
+    projection is determined.  On a linearly dependent W the ridge keeps the
+    multipliers' null-space part, which the projection does not see, near
+    zero.  The members do not couple, so the stack's Gram matrix is block
+    diagonal and one banded factorisation and solve serve them all.  When
+    every member has the same W, one member's factor is made (or ``warm``'s
+    kept one reused, if it was made for W) and repeated once per member.
+    ``g`` is ``np.flatnonzero(inW)``, the stacked rows.
+
+    Returns the multipliers on the stacked rows and None, or, if some
+    member's factorisation failed, the multipliers on the rows of the
+    others and the mask of the members that succeeded.
+    """
+    k = inW.shape[0]
+    warm.newton_steps += k
+    if k == 1 or (inW == inW[0]).all():
+        W = g[:g.size // k]
+        if W.size == 0:
+            return np.zeros(0), None
+        if warm.factor is not None and np.array_equal(warm.factor[0], W):
+            warm.factor_reuses += k
+            _, ab, factor = warm.factor
+        else:
+            ab = cone.gram_band(W)
+            factor, info = _factor(ab)
+            if info != 0:
+                return np.zeros(0), np.zeros(k, dtype=bool)
+            warm.factor = (W, ab, factor)
+            warm.factor_reuses += k - 1
+        if k == 1:
+            return _refined_solve(ab, factor, -B[0, W]), None
+        # k copies side by side, in the Fortran order LAPACK takes
+        ab, factor = (np.tile(a.T, (k, 1)).T for a in (ab, factor))
+        return _refined_solve(ab, factor, -B[:, W].ravel()), None
+    ok = np.ones(k, dtype=bool)
+    lam = np.zeros(0)
+    while g.size:
+        ab = cone.gram_band(g, k)
+        factor, info = _factor(ab)
+        if info == 0:
+            lam = _refined_solve(ab, factor, -B.ravel()[g])
+            break
+        # the leading minor of order info failed: drop that row's member
+        ok[g[info - 1] // cone.m] = False
+        g = (inW & ok[:, None]).ravel().nonzero()[0]
+    return lam, (None if ok.all() else ok)
 
 
 def _independent_pair(cone: _Cone, b: np.ndarray, W: np.ndarray):
@@ -453,7 +566,7 @@ def _goldfarb_idnani(cone: _Cone, v: np.ndarray, b: np.ndarray,
     A, lamA, L = _independent_pair(cone, b, W)
     seen = set()
     for _ in range(20 * cone.m):
-        u, s, terms = cone.check(v, A, lamA)
+        u, s, terms = (a[0] for a in cone.check(v[None], A, lamA))
         s[A] = 0.0
         breach = s < -cone.threshold(_ADD_TOL, _ADD_REL, terms)
         p = int(np.argmin(np.where(breach, s, np.inf)))
@@ -468,8 +581,8 @@ def _goldfarb_idnani(cone: _Cone, v: np.ndarray, b: np.ndarray,
             w = solve_triangular(L, cone.gram_column(A, p), lower=True)
             r = solve_triangular(L, w, lower=True, trans="T")
             z = cone.combine(np.append(A, p), np.append(-r, 1.0))
-            zz = float(z @ z)
-            s_p = float(cone.coef[p] @ np.concatenate((u, [0.0]))[cone.cols[p]])
+            zz = float(z[:-1] @ z[:-1])
+            s_p = float(cone.coef[p] @ u[cone.cols[p]])
             t2 = np.inf if zz <= _DEPENDENT else -s_p / zz
             ratios = np.full(A.size + 1, np.inf)
             pos = r > 0
@@ -499,41 +612,119 @@ def _goldfarb_idnani(cone: _Cone, v: np.ndarray, b: np.ndarray,
     raise RuntimeError("cone projection: dual active-set method did not terminate")
 
 
-def _solve_dual(cone: _Cone, v: np.ndarray, b: np.ndarray,
+def _solve_dual(cone: _Cone, V: np.ndarray, B: np.ndarray,
                 warm: ProjectionWarmStart):
-    """Multipliers of the projection of v (scaled coordinates) onto the cone.
+    """Multipliers of the projections of the rows of V (scaled coordinates,
+    one member each) onto the cone; ``B`` is ``S v`` for each row.
 
-    Block active-set Newton steps (the primal-dual active-set method) change
-    many constraints at once and converge in a few steps from a good start,
-    here ``warm.active``.  They can cycle; a repeated working set, a failed
-    factorisation or the step limit hands the last working set to the
-    Goldfarb-Idnani method, which terminates.  ``b`` is ``S v``.
+    Block active-set Newton steps (the primal-dual active-set method of
+    Hintermueller, Ito and Kunisch 2002) change many constraints at once and
+    converge in a few steps from a good start, here ``warm.active`` for
+    every member.  The members take their steps together (``_newton``); a
+    member leaves the stack once its multipliers are nonnegative and no
+    constraint is breached.  The steps can cycle; a member that repeats a
+    working set, whose factorisation fails or that reaches the step limit
+    goes alone to the Goldfarb-Idnani method, which terminates.
 
-    Returns the multipliers and, when a Newton step solved the problem, that
-    step's ``cone.check`` arrays for the certificate; None after the
-    Goldfarb-Idnani method.
+    Returns the (k, m) multipliers and, for each member solved by a Newton
+    step, that step's ``cone.check`` arrays for the certificate; None after
+    the Goldfarb-Idnani method.
     """
-    inW = np.zeros(cone.m, dtype=bool)
-    inW[warm.active] = True
-    seen = set()
+    k = V.shape[0]
+    lam = np.zeros((k, cone.m))
+    checks = [None] * k
+    seen = {}
+    # the members still in the stack and their arrays, compacted as
+    # members leave; handoff collects (member, working set)
+    live, Vl, Bl = np.arange(k), V, B
+    inW = np.zeros((k, cone.m), dtype=bool)
+    inW[:, warm.active] = True
+    handoff = []
     for _ in range(_NEWTON_STEPS):
-        W = np.flatnonzero(inW)
-        lam_W = _newton(cone, b, W, warm)
-        if lam_W is None:
-            break
-        u, s, terms = cone.check(v, W, lam_W)
-        breach = s < -cone.threshold(_ADD_TOL, _ADD_REL, terms)
-        lam = np.zeros(cone.m)
-        lam[W] = lam_W
-        if not breach.any() and lam.min() >= 0:
-            return lam, (u, s, terms)
-        inW = (lam > 0) | (breach & ~inW)
-        key = inW.tobytes()
-        if key in seen:
-            break
-        seen.add(key)
-    warm.gi_handoffs += 1
-    return _goldfarb_idnani(cone, v, b, np.flatnonzero(inW)), None
+        g = inW.ravel().nonzero()[0]
+        lam_W, ok = _newton(cone, Bl, inW, g, warm)
+        if ok is not None:
+            handoff += zip(live[~ok], inW[~ok])
+            live, Vl, Bl, inW = live[ok], Vl[ok], Bl[ok], inW[ok]
+            if live.size == 0:
+                break
+            g = inW.ravel().nonzero()[0]
+        U, S, terms = cone.check(Vl, g, lam_W)
+        breach = S < -cone.threshold(_ADD_TOL, _ADD_REL, terms)
+        step = np.zeros(inW.shape)
+        step.ravel()[g] = lam_W
+        done = ~breach.any(axis=1)
+        if done.any():
+            done &= step.min(axis=1) >= 0
+        inW = (step > 0) | (breach & ~inW)
+        keep = ~done
+        for i, j in enumerate(live.tolist()):
+            if done[i]:
+                lam[j] = step[i]
+                checks[j] = (U[i].copy(), S[i].copy(), terms[i].copy())
+                continue
+            key = inW[i].tobytes()
+            if key in seen.setdefault(j, set()):
+                handoff.append((j, inW[i]))
+                keep[i] = False
+            seen[j].add(key)
+        if not keep.all():
+            if not keep.any():
+                break
+            live, Vl, Bl, inW = live[keep], Vl[keep], Bl[keep], inW[keep]
+    else:
+        handoff += zip(live, inW)
+    for j, rows in handoff:
+        warm.gi_handoffs += 1
+        lam[j] = _goldfarb_idnani(cone, V[j], B[j], np.flatnonzero(rows))
+    return lam, checks
+
+
+def _certify(cone: _Cone, v: np.ndarray, lam: np.ndarray, check):
+    """The point of multipliers ``lam`` and its active set, checked against
+    the KKT certificate; raises ``RuntimeError`` if it fails.
+
+    The certificate runs on the very u whose x is returned: the last
+    Newton step's (``check``), or recomputed after the Goldfarb-Idnani
+    method.
+    """
+    active = (lam > 0).nonzero()[0]
+    if check is None:
+        check = [a[0] for a in cone.check(v[None], active, lam[active])]
+    u, s, terms = check
+    cert = cone.threshold(_FEAS_TOL, _FEAS_REL, terms)
+    breach = float((-s / cert).max())
+    slack = float((np.abs(s[active]) / cert[active]).max(initial=0.0))
+    if not (lam.min() >= 0 and breach <= 1.0 and slack <= 1.0):
+        raise RuntimeError(
+            "cone projection failed its KKT certificate: largest breach "
+            f"{breach:.3g} and largest slack of an active constraint "
+            f"{slack:.3g}, in units of the tolerance")
+    return u, active
+
+
+def _project_stack(cone: _Cone, X: np.ndarray, warm: ProjectionWarmStart):
+    """Certified projections of the rows of X (flattened surfaces), solved
+    as one stack from ``warm.active``.
+
+    Returns them and each member's active set, None for a member already in
+    the cone (returned unchanged).
+    """
+    warm.calls += X.shape[0]
+    V = cone.scale(X)
+    B = cone.values(V)
+    inside = (B >= -cone.threshold(_ADD_TOL, _ADD_REL, cone.rounding(V))).all(axis=1)
+    out = X.copy()
+    active = [None] * X.shape[0]
+    todo = (~inside).nonzero()[0]
+    if todo.size < X.shape[0]:
+        V, B = V[todo], B[todo]
+    if todo.size:
+        lam, checks = _solve_dual(cone, V, B, warm)
+        for i, j in enumerate(todo.tolist()):
+            u, active[j] = _certify(cone, V[i], lam[i], checks[i])
+            out[j] = u[:-1] / cone.sqrt_omega
+    return out, active
 
 
 def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(),
@@ -554,7 +745,8 @@ def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(
 
     ``warm`` carries the active set and the last Newton factor from one call
     to the next; it speeds up sequences of projections of nearby surfaces.
-    With ``cfg.tv2_lambda > 0`` a second-difference smoothing is applied
+    A projection of C already prepared in ``warm`` by a stacked solve is
+    returned without solving again.  With ``cfg.tv2_lambda > 0`` a second-difference smoothing is applied
     afterwards and kept only if it stays in the cone.
     """
     if isinstance(C, Surface):
@@ -564,7 +756,7 @@ def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(
         if grid is None:
             raise ValueError("grid required when C is a raw array")
         values = np.asarray(C, dtype=float)
-    if values.shape != grid.shape or not np.all(np.isfinite(values)):
+    if values.shape != grid.shape or not np.isfinite(values).all():
         raise ValueError("C must be a finite array of the grid's shape")
     omega = w.w * quadrature_matrix(grid)
     cone, key = _cone(grid, omega, cfg.nonneg)
@@ -572,29 +764,13 @@ def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(
         warm = ProjectionWarmStart()
     if warm.key != key:
         warm.key, warm.active, warm.factor = key, np.zeros(0, dtype=np.intp), None
-    warm.calls += 1
-
-    v = cone.sqrt_omega * values.ravel()
-    s = cone.values(v)
-    if np.all(s >= -cone.threshold(_ADD_TOL, _ADD_REL, cone.rounding(v))):
-        x = values.copy()
-    else:
-        lam, check = _solve_dual(cone, v, s, warm)
-        active = np.flatnonzero(lam > 0)
-        # the certificate runs on the very u whose x is returned: the last
-        # Newton step's, or recomputed after the Goldfarb-Idnani method
-        u, s, terms = (check if check is not None
-                       else cone.check(v, active, lam[active]))
-        x = (u / cone.sqrt_omega).reshape(values.shape)
-        cert = cone.threshold(_FEAS_TOL, _FEAS_REL, terms)
-        breach = float(np.max(-s / cert))
-        slack = float(np.max(np.abs(s[active]) / cert[active], initial=0.0))
-        if not (lam.min() >= 0 and breach <= 1.0 and slack <= 1.0):
-            raise RuntimeError(
-                "cone projection failed its KKT certificate: largest breach "
-                f"{breach:.3g} and largest slack of an active constraint "
-                f"{slack:.3g}, in units of the tolerance")
-        warm.active = active
+        warm.prepared = {}
+    x = warm.prepared.pop(values.tobytes(), None) if warm.prepared else None
+    if x is None:
+        (x,), (active,) = _project_stack(cone, values.reshape(1, -1), warm)
+        if active is not None:
+            warm.active = active
+    x = x.reshape(values.shape)
 
     if cfg.tv2_lambda > 0:
         smoothed = _tv2_smooth(x, grid, omega, cfg.tv2_lambda)
@@ -617,6 +793,13 @@ def projection_certificates(C_raw, w: WeightField,
     Gaussian perturbation pairs at 1% of the surface norm; dup_tv_path tracks
     the Dupire total variation along the proximal homotopy from C_raw to its
     projection.
+
+    C_raw is projected first; that projection is the end of the Dupire path,
+    and its active set is the working set every perturbed surface starts
+    from.  The perturbed surfaces are then solved in stacks of ``_STACK``
+    (the Newton steps of a stack share each factorisation, and its first
+    step, on the common working set, shares one factor), each certified on
+    its own, and each is returned through its own ``project_to_cone`` call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -628,22 +811,24 @@ def projection_certificates(C_raw, w: WeightField,
             raise ValueError("grid required when C_raw is a raw array")
         base = np.asarray(C_raw, dtype=float)
 
+    warm = ProjectionWarmStart()
+    proj = project_to_cone(base, w, cfg, grid=grid, warm=warm).values
+    cone, _ = _cone(grid, w.w * quadrature_matrix(grid), cfg.nonneg)
     rng = np.random.default_rng(rng_seed)
     scale = 0.01 * weighted_norm(base, w, grid)
     lip = 0.0
-    warm = ProjectionWarmStart()
-    for _ in range(trials):
-        d1 = rng.standard_normal(base.shape)
-        d2 = rng.standard_normal(base.shape)
-        d1 *= scale / weighted_norm(d1, w, grid)
-        d2 *= scale / weighted_norm(d2, w, grid)
-        p1 = project_to_cone(base + d1, w, cfg, grid=grid, warm=warm).values
-        p2 = project_to_cone(base + d2, w, cfg, grid=grid, warm=warm).values
-        denom = weighted_norm(d1 - d2, w, grid)
-        if denom > 0:
-            lip = max(lip, weighted_norm(p1 - p2, w, grid) / denom)
+    for lo in range(0, 2 * trials, _STACK):
+        d = rng.standard_normal((min(_STACK, 2 * trials - lo),) + base.shape)
+        d *= np.array([scale / weighted_norm(x, w, grid) for x in d])[:, None, None]
+        stack = base + d
+        solved, _ = _project_stack(cone, stack.reshape(len(stack), -1), warm)
+        warm.prepared = {x.tobytes(): y for x, y in zip(stack, solved)}
+        p = [project_to_cone(x, w, cfg, grid=grid, warm=warm).values for x in stack]
+        for i in range(0, len(stack), 2):
+            denom = weighted_norm(d[i] - d[i + 1], w, grid)
+            if denom > 0:
+                lip = max(lip, weighted_norm(p[i] - p[i + 1], w, grid) / denom)
 
-    proj = project_to_cone(base, w, cfg, grid=grid, warm=warm).values
     tvs = []
     for t in range(cfg.path_steps + 1):
         lam = t / cfg.path_steps

@@ -95,6 +95,15 @@ def test_problem_validation():
         TriMarginalProblem(np.array([1.0, 0.5]), u, u, u)
 
 
+def test_feature_kind_is_dense_or_nystrom():
+    x = np.array([0.0, 1.0])
+    u = np.array([0.5, 0.5])
+    for kind in ("dense", "nystrom"):
+        TriMarginalProblem(x, u, u, u, feature_kind=kind)
+    with pytest.raises(ValueError, match="dense or nystrom"):
+        TriMarginalProblem(x, u, u, u, feature_kind="rff")
+
+
 def test_zero_cost_kernel_all_ones_and_whitening():
     x = np.linspace(0, 1, 8)
     u = np.full(8, 1.0 / 8)

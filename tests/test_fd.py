@@ -172,6 +172,25 @@ def test_operator_norm_weight_switch_bound():
     assert got <= np.sqrt(wrow.max() / wrow.min()) * unweighted + 1e-9
 
 
+def test_stencils_are_built_once_per_grid_and_window(grid21x11):
+    from arbsurf.fd import _stencils
+    for cfg in (FdConfig(), FdConfig(window_K=7, window_tau=5)):
+        SK, ST = _stencils(grid21x11, cfg)
+        np.testing.assert_array_equal(SK, dkk_matrix(grid21x11.strikes, cfg.window_K))
+        np.testing.assert_array_equal(ST, dtau_matrix(grid21x11.maturities,
+                                                      cfg.window_tau))
+        again = _stencils(grid21x11, cfg)
+        assert again[0] is SK and again[1] is ST
+        for S in (SK, ST):
+            with pytest.raises(ValueError):
+                S[0, 0] = 1.0
+    # the public builders still return fresh, writable arrays
+    fresh = dkk_matrix(grid21x11.strikes, 5)
+    fresh[0, 0] += 1.0
+    np.testing.assert_array_equal(_stencils(grid21x11, FdConfig())[0],
+                                  dkk_matrix(grid21x11.strikes, 5))
+
+
 def test_dtau_matrix_affine_exact():
     taus = np.array([0.1, 0.25, 0.45, 0.7, 1.0])
     S = dtau_matrix(taus, 3)

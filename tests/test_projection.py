@@ -323,7 +323,8 @@ def test_projection_refuses_a_result_that_fails_its_certificate(
     # be returned
     import arbsurf.projection as projection
     monkeypatch.setattr(projection, "_solve_dual",
-                        lambda cone, v, b, warm: (np.zeros(cone.m), None))
+                        lambda cone, V, B, warm: (np.zeros((len(V), cone.m)),
+                                                  [None] * len(V)))
     C = bs_surface_21x11 + np.random.default_rng(16).standard_normal(
         grid21x11.shape)
     with pytest.raises(RuntimeError, match="KKT certificate"):
@@ -465,3 +466,169 @@ def test_certificates_trials_validation(grid21x11, weight21x11):
     with pytest.raises(ValueError):
         projection_certificates(np.ones(grid21x11.shape), weight21x11,
                                 trials=0, grid=grid21x11)
+
+
+# ---------------------------------------------------------------------------
+# stacked projections of the Lipschitz pairs
+# ---------------------------------------------------------------------------
+
+def _record_stacks(monkeypatch):
+    """Record the inputs and outputs of every stacked solve."""
+    import arbsurf.projection as projection
+    calls = []
+    original = projection._project_stack
+
+    def spy(cone, X, warm):
+        out, active = original(cone, X, warm)
+        calls.append((X.copy(), out.copy()))
+        return out, active
+
+    monkeypatch.setattr(projection, "_project_stack", spy)
+    return calls
+
+
+def _serial_lipschitz(base, w, g, trials, rng_seed):
+    """The certificate's ratio from one cold projection per perturbed
+    surface, over the same draws."""
+    rng = np.random.default_rng(rng_seed)
+    scale = 0.01 * weighted_norm(base, w, g)
+    lip = 0.0
+    for _ in range(trials):
+        d1, d2 = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+        d1 = d1 * (scale / weighted_norm(d1, w, g))
+        d2 = d2 * (scale / weighted_norm(d2, w, g))
+        p1 = project_to_cone(base + d1, w, grid=g).values
+        p2 = project_to_cone(base + d2, w, grid=g).values
+        lip = max(lip, weighted_norm(p1 - p2, w, g) / weighted_norm(d1 - d2, w, g))
+    return lip
+
+
+@pytest.mark.parametrize("pairs", ["one", "stack and three"])
+def test_stacked_members_match_single_projections(
+        monkeypatch, pairs, grid21x11, weight21x11, bs_surface_21x11):
+    import arbsurf.projection as projection
+    g, w = grid21x11, weight21x11
+    trials = 1 if pairs == "one" else projection._STACK + 3
+    base = np.maximum(bs_surface_21x11 + 0.25 * np.random.default_rng(20).standard_normal(
+        g.shape), 0.0)
+    calls = _record_stacks(monkeypatch)
+    certs = projection_certificates(base, w, trials=trials, rng_seed=3, grid=g)
+    # the base projection, then the members in stacks of at most _STACK
+    sizes = [len(X) for X, _ in calls]
+    members = 2 * trials
+    assert sizes[0] == 1
+    assert sizes[1:] == [min(projection._STACK, members - lo)
+                         for lo in range(0, members, projection._STACK)]
+    if trials > 1:
+        assert projection._STACK < members and members % projection._STACK
+    for X, out in calls[1:]:
+        for x, y in zip(X, out):
+            ref = project_to_cone(x.reshape(g.shape), w, grid=g).values
+            got = np.maximum(y.reshape(g.shape), 0.0)
+            assert weighted_norm(got - ref, w, g) <= 1e-12 * weighted_norm(ref, w, g)
+            assert feasibility_violation(got, g) <= 1e-10
+    assert certs.projections["calls"] == members + 1
+    assert certs.lip_emp == pytest.approx(
+        _serial_lipschitz(base, w, g, trials, rng_seed=3), rel=1e-12)
+
+
+def test_stacked_member_that_fails_its_certificate_raises(
+        monkeypatch, grid21x11, weight21x11, bs_surface_21x11):
+    # one member of a stack is handed an all-zero dual; it must raise, not
+    # be returned among the others
+    import arbsurf.projection as projection
+    original = projection._solve_dual
+
+    def one_bad_member(cone, V, B, warm):
+        lam, checks = original(cone, V, B, warm)
+        if len(V) > 1:
+            lam[1], checks[1] = 0.0, None
+        return lam, checks
+
+    monkeypatch.setattr(projection, "_solve_dual", one_bad_member)
+    noisy = bs_surface_21x11 + 0.25 * np.random.default_rng(21).standard_normal(
+        grid21x11.shape)
+    with pytest.raises(RuntimeError, match="KKT certificate"):
+        projection_certificates(np.maximum(noisy, 0.0), weight21x11, trials=8,
+                                grid=grid21x11)
+
+
+def test_stacked_member_that_cycles_goes_to_goldfarb_idnani(
+        monkeypatch, grid21x11, weight21x11, bs_surface_21x11):
+    # Zero multipliers keep one member's point at its input, so its working
+    # set alternates between its breached rows and the complement and
+    # repeats; it must leave the stack for the Goldfarb-Idnani method and
+    # still come back certified and equal to its single projection.
+    import arbsurf.projection as projection
+    g, w = grid21x11, weight21x11
+    target = []
+    newton, gi = projection._newton, projection._goldfarb_idnani
+    handed, steps = [], []
+
+    def stalled_newton(cone, B, inW, rows, warm):
+        lam_W, ok = newton(cone, B, inW, rows, warm)
+        if len(B) > 1 and not target:
+            target.append(B[0].copy())
+        hit = [i for i in range(len(B)) if target and np.array_equal(B[i], target[0])]
+        steps.append(bool(hit))
+        if hit and ok is None:
+            lam_W = np.where(rows // cone.m == hit[0], 0.0, lam_W)
+        return lam_W, ok
+
+    def spy_gi(cone, v, b, W):
+        handed.append(b.copy())
+        return gi(cone, v, b, W)
+
+    monkeypatch.setattr(projection, "_newton", stalled_newton)
+    monkeypatch.setattr(projection, "_goldfarb_idnani", spy_gi)
+    calls = _record_stacks(monkeypatch)
+    noisy = bs_surface_21x11 + 0.25 * np.random.default_rng(22).standard_normal(g.shape)
+    certs = projection_certificates(np.maximum(noisy, 0.0), w, trials=8, grid=g)
+    assert any(np.array_equal(b, target[0]) for b in handed)
+    assert certs.projections["gi_handoffs"] >= 1
+    # it left on the repeat, long before the step limit
+    assert 0 < sum(steps) < projection._NEWTON_STEPS
+    for X, out in calls[1:]:
+        for x, y in zip(X, out):
+            ref = project_to_cone(x.reshape(g.shape), w, grid=g).values
+            got = np.maximum(y.reshape(g.shape), 0.0)
+            assert weighted_norm(got - ref, w, g) <= 1e-12 * weighted_norm(ref, w, g)
+            assert feasibility_violation(got, g) <= 1e-10
+
+
+def _stack_of_members(g, w, base, k, seed):
+    """A cone and k perturbed copies of base in its scaled coordinates."""
+    import arbsurf.projection as projection
+    cone, _ = projection._cone(g, w.w * quadrature_matrix(g), True)
+    X = base.ravel() + 0.05 * np.random.default_rng(seed).standard_normal((k, base.size))
+    V = cone.scale(X)
+    return cone, V, cone.values(V)
+
+
+def test_stacked_gram_band_is_the_block_diagonal_of_the_members(
+        grid21x11, weight21x11, bs_surface_21x11):
+    cone, _, B = _stack_of_members(grid21x11, weight21x11, bs_surface_21x11, 5, 23)
+    inW = B < 0
+    bands = [cone.gram_band(inW[i].nonzero()[0]) for i in range(5)]
+    kd = max(b.shape[0] for b in bands)
+    expect = np.hstack([np.vstack([b, np.zeros((kd - b.shape[0], b.shape[1]))])
+                        for b in bands])
+    np.testing.assert_array_equal(cone.gram_band(inW.ravel().nonzero()[0], 5), expect)
+
+
+def test_stacked_newton_step_matches_single_steps(
+        grid21x11, weight21x11, bs_surface_21x11):
+    # one shared working set (one factor for all) and one working set per
+    # member (one block-diagonal band) give each member its own step
+    import arbsurf.projection as projection
+    cone, _, B = _stack_of_members(grid21x11, weight21x11, bs_surface_21x11, 5, 24)
+    for inW in (np.tile(B[0] < 0, (5, 1)), B < 0):
+        rows = inW.ravel().nonzero()[0]
+        lam, ok = projection._newton(cone, B, inW, rows, ProjectionWarmStart())
+        assert ok is None
+        for i in range(5):
+            W = inW[i].nonzero()[0]
+            single, _ = projection._newton(cone, B[i:i + 1], inW[i:i + 1], W,
+                                           ProjectionWarmStart())
+            np.testing.assert_allclose(lam[rows // cone.m == i], single, rtol=0,
+                                       atol=1e-12 * np.abs(single).max())
