@@ -6,8 +6,8 @@ prints the empirical Lipschitz and the Dupire total-variation path.
 
 import numpy as np
 
-from arbsurf import (Grid2D, ProjectionConfig, project_to_cone,
-                     projection_certificates, vega_bump_weight, weighted_norm)
+from arbsurf import (Grid2D, project_to_cone, projection_certificates,
+                     vega_bump_weight, weighted_norm)
 from arbsurf.fd import FdConfig
 from arbsurf.projection import feasibility_violation
 from arbsurf.synth import MarketParams, generate_surface
@@ -25,8 +25,8 @@ print(f"distance to the clean truth: "
       f"{weighted_norm(repaired.values - clean.values, weight, grid):.4f}  "
       f"(noisy was {weighted_norm(noisy.values - clean.values, weight, grid):.4f})")
 
-certs = projection_certificates(noisy, weight, ProjectionConfig(path_steps=8),
-                                FdConfig(), trials=100, rng_seed=0)
+certs = projection_certificates(noisy, weight, FdConfig(), trials=100,
+                                path_steps=8, rng_seed=0)
 print(f"\nempirical Lipschitz over 100 perturbation pairs: {certs.lip_emp:.6f}")
 print(f"Dupire TV along the proximal path (should not increase):")
 for t, tv in enumerate(certs.dup_tv_path):

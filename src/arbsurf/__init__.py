@@ -16,9 +16,9 @@ from .fd import (DupireField, FdConfig, dupire_field, dupire_total_variation,
 from .cpwl import CpwlFunction, ReluNet, compile_to_relu, triangulate_tensor_grid
 from .smolyak import (AnisotropyConfig, activated_nodes, build_index_set,
                       error_frontier, pca_head, smolyak_fit)
-from .projection import (ProjectionCertificates, ProjectionConfig,
-                         ProjectionWarmStart, convex_in_strike, pav_isotonic,
-                         project_to_cone, projection_certificates)
+from .projection import (ProjectionCertificates, ProjectionWarmStart,
+                         pav_isotonic, project_to_cone,
+                         projection_certificates)
 from .bridge import (BridgeState, CertificateSet, TriMarginalProblem,
                      build_bridge, certify, dual_value, kkt_residual,
                      primal_value, tri_sinkhorn)

@@ -25,9 +25,8 @@ from .cpwl import compile_to_relu
 from .fd import FdConfig
 from .grid import (Grid2D, Surface, WeightField, check_mesh_admissibility,
                    vega_bump_weight, weighted_norm)
-from .projection import (ProjectionConfig, ProjectionWarmStart,
-                         feasibility_violation, project_to_cone,
-                         projection_certificates)
+from .projection import (ProjectionWarmStart, feasibility_violation,
+                         project_to_cone, projection_certificates)
 from .smolyak import (AnisotropyConfig, _bilinear_eval, error_frontier,
                       smolyak_fit)
 from .synth import MarketParams, extract_density, generate_surface, sample_clouds
@@ -74,12 +73,7 @@ DEFAULT_CONFIG = {
         "feature_kind": "nystrom", "rank": 8,
         "tol": 0.005, "t_max": 400, "triad_center": 5, "ridge": 1e-8,
     },
-    "projection": {
-        # dykstra_rounds is kept so older config files load; it has no
-        # effect on the projection (see ProjectionConfig)
-        "tv2_lambda": 0.0, "dykstra_rounds": 0, "path_steps": 8,
-        "lip_trials": 200,
-    },
+    "projection": {"path_steps": 8, "lip_trials": 200},
     "chain": {
         "sizes": [60, 90, 130, 190, 280, 410, 600, 880, 1290, 1900],
         "n_maturities_used": 6, "octaves": [-1, 0, 1],
@@ -102,9 +96,14 @@ DEFAULT_CONFIG = {
 
 def _merge_config(user: dict | None, defaults: dict = DEFAULT_CONFIG,
                   path: str = "") -> dict:
-    """Fill missing keys from defaults; reject unknown keys."""
+    """Fill missing keys from defaults; reject unknown keys, a section that
+    is not an object and a value that is one."""
     out = {}
-    user = user or {}
+    if user is None:
+        user = {}
+    elif not isinstance(user, dict):
+        raise ValueError(f"config section '{path or '.'}' must be an object, "
+                         f"not {type(user).__name__}")
     unknown = set(user) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys at '{path or '.'}': {sorted(unknown)}")
@@ -112,6 +111,8 @@ def _merge_config(user: dict | None, defaults: dict = DEFAULT_CONFIG,
         uval = user.get(key, None)
         if isinstance(dval, dict):
             out[key] = _merge_config(uval, dval, f"{path}/{key}")
+        elif isinstance(uval, dict):
+            raise ValueError(f"config key '{path}/{key}' must not be an object")
         elif uval is None:
             out[key] = dval
         else:
@@ -345,15 +346,13 @@ class PipelineContext:
         pc = cfg["projection"]
         grid: Grid2D = self.art["grid"]
         w: WeightField = self.art["weight"]
-        pcfg = ProjectionConfig(tv2_lambda=pc["tv2_lambda"],
-                                dykstra_rounds=pc["dykstra_rounds"],
-                                path_steps=pc["path_steps"])
         fd = FdConfig(**cfg["fd"])
-        certs = projection_certificates(self.art["noisy"], w, pcfg, fd,
+        certs = projection_certificates(self.art["noisy"], w, fd,
                                         trials=pc["lip_trials"],
+                                        path_steps=pc["path_steps"],
                                         rng_seed=self._seed("lip-pairs"))
-        proj = project_to_cone(self.art["G_hat"], w, pcfg)
-        self.art.update(proj_certs=certs, C_proj=proj, proj_cfg=pcfg)
+        proj = project_to_cone(self.art["G_hat"], w)
+        self.art.update(proj_certs=certs, C_proj=proj)
         self._count_projections("certificates", certs.projections)
         thr = cfg["thresholds"]
         self.summary["C3"] = {
@@ -429,11 +428,10 @@ class PipelineContext:
                                          noise_sigma=dc["noise_sigma"],
                                          lambda_chain=dc["lambda_chain"],
                                          steps=dc["steps"])
-        pcfg: ProjectionConfig = self.art["proj_cfg"]
         warm = ProjectionWarmStart()
 
         def projector(states):
-            return project_to_cone(states, w, pcfg, grid=grid, warm=warm).values
+            return project_to_cone(states, w, grid=grid, warm=warm).values
 
         traj, final = descent_mod.projected_descent(
             self.art["C_proj"].values, self.art["G_hat"].values, graph,
@@ -467,7 +465,7 @@ class PipelineContext:
         w: WeightField = self.art["weight"]
         Z = self.art["Z"]
         C_hat: Surface = self.art["C_hat"]
-        C_out = project_to_cone(C_hat, w, self.art["proj_cfg"])
+        C_out = project_to_cone(C_hat, w)
         clean: Surface = self.art["clean"]
         certs: bridge_mod.CertificateSet = self.art["bridge_certs"]
         decision: cs.GateDecision = self.art["gate_decision"]

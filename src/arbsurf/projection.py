@@ -29,8 +29,8 @@ and one banded factorisation and solve serve the whole stack per step.
 ``project_to_cone`` is the stack of one; ``projection_certificates`` solves
 its perturbed surfaces in stacks of ``_STACK``.  Each member leaves the
 stack when it is solved, or alone for the Goldfarb-Idnani method, and is
-certified on its own.  ``pav_isotonic`` and ``convex_in_strike`` are the
-exact projections onto one family each.
+certified on its own.  ``pav_isotonic`` is the exact projection of one
+strike's column onto the calendar family.
 """
 
 from __future__ import annotations
@@ -43,17 +43,14 @@ import scipy.sparse as sp
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpstrf
-from scipy.optimize import nnls
 
 from .fd import FdConfig, dupire_field, dupire_total_variation
 from .grid import Grid2D, Surface, WeightField, quadrature_matrix, weighted_norm
 
 __all__ = [
-    "ProjectionConfig",
     "ProjectionCertificates",
     "ProjectionWarmStart",
     "pav_isotonic",
-    "convex_in_strike",
     "project_to_cone",
     "projection_certificates",
     "feasibility_violation",
@@ -78,29 +75,6 @@ _NEWTON_STEPS = 30
 # members takes about 0.5 MB; larger stacks solve hardly faster and raise
 # the process's peak memory by the larger transient arrays
 _STACK = 16
-
-
-@dataclass(frozen=True)
-class ProjectionConfig:
-    """Options of ``project_to_cone`` and ``projection_certificates``.
-
-    ``dykstra_rounds`` is accepted so that configurations written for the
-    former Dykstra iteration still load; it has no effect, since every value
-    gives the same certified metric projection.
-    """
-
-    tv2_lambda: float = 0.0
-    dykstra_rounds: int = 0
-    path_steps: int = 8
-    nonneg: bool = True
-
-    def __post_init__(self):
-        if self.tv2_lambda < 0:
-            raise ValueError("tv2_lambda must be nonnegative")
-        if self.path_steps < 1:
-            raise ValueError("path_steps must be >= 1")
-        if self.dykstra_rounds < 0:
-            raise ValueError("dykstra_rounds must be nonnegative")
 
 
 @dataclass
@@ -130,8 +104,8 @@ class ProjectionWarmStart:
     same grid and weight (perturbation pairs, descent steps).  It holds the
     last active set, from which the next call starts, and the last Newton
     step's working set with its Gram band and Cholesky factor, which a later
-    step with the same working set reuses.  Both belong to one grid, weight
-    and ``nonneg`` (``key``) and are dropped when a call brings another.
+    step with the same working set reuses.  Both belong to one grid and
+    weight (``key``) and are dropped when a call brings another.
     The active set changes only how fast the solver finds the solution, not
     what it returns beyond rounding; reusing the factor changes nothing.
     ``prepared`` maps the bytes of an input to its projection when a stacked
@@ -214,55 +188,13 @@ def _second_difference_matrix(x: np.ndarray) -> np.ndarray:
     return A
 
 
-def _cone_projection_nnls(y: np.ndarray, w: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Exact weighted projection onto {x : A x >= 0} via the dual NNLS."""
-    ws = np.sqrt(w)
-    B = A.T / ws[:, None]
-    c = -ws * y
-    mu, _ = nnls(B, c)
-    return y + (A.T @ mu) / w
-
-
-def convex_in_strike(row, weights, strikes) -> np.ndarray:
-    """Exact weighted projection of a strike section onto the convex cone.
-
-    Solved through the dual nonnegative least-squares problem; since the cone
-    contains all affine sections, the weighted mean of the row is preserved
-    and convex inputs are fixed points.
-    """
-    y = np.asarray(row, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    K = np.asarray(strikes, dtype=float)
-    if y.size < 3:
-        raise ValueError("need at least 3 strikes for convex regression")
-    if np.any(np.diff(K) <= 0):
-        raise ValueError("strikes must be strictly increasing")
-    if y.shape != w.shape or y.shape != K.shape:
-        raise ValueError("row, weights and strikes must share a length")
-    A = _second_difference_matrix(K)
-    if np.all(A @ y >= 0):
-        return y.copy()
-    return _cone_projection_nnls(y, w, A)
-
-
-def feasibility_violation(values: np.ndarray, grid: Grid2D, nonneg: bool = True) -> float:
+def feasibility_violation(values: np.ndarray, grid: Grid2D) -> float:
     """Max violation of calendar monotonicity / strike convexity / positivity."""
     cal = np.max(-np.diff(values, axis=0), initial=0.0)
     A = _second_difference_matrix(grid.strikes)
     conv = np.max(-(values @ A.T), initial=0.0)
-    neg = np.max(-values, initial=0.0) if nonneg else 0.0
+    neg = np.max(-values, initial=0.0)
     return float(max(cal, conv, neg))
-
-
-def _tv2_smooth(values, grid, omega, lam, sweeps: int = 3):
-    """Weighted second-difference shrinkage; linear and nonexpansive for small lam."""
-    A = _second_difference_matrix(grid.strikes)
-    out = values.copy()
-    op_norm = np.linalg.norm(A, 2) ** 2
-    step = min(lam, 0.9 / max(op_norm, 1e-30))
-    for _ in range(sweeps):
-        out = out - step * ((out @ A.T) @ A) / np.maximum(omega / omega.mean(), 1e-12)
-    return out
 
 
 class _Cone:
@@ -279,7 +211,7 @@ class _Cone:
     strike-major order, which makes the Gram matrix ``S S^T`` banded.
     """
 
-    def __init__(self, grid: Grid2D, omega: np.ndarray, nonneg: bool):
+    def __init__(self, grid: Grid2D, omega: np.ndarray):
         nt, nk = grid.shape
         n = nt * nk
         node = np.arange(n).reshape(nt, nk)
@@ -290,11 +222,10 @@ class _Cone:
         coef = [np.broadcast_to([-1.0, 1.0, 0.0], (nt - 1, nk, 3)),
                 np.broadcast_to(np.stack([A2[q, q], A2[q, q + 1], A2[q, q + 2]], -1),
                                 (nt, nk - 2, 3))]
-        if nonneg:
-            # with the calendar rows, x >= 0 holds everywhere iff it holds
-            # on the first maturity; the smaller set is less degenerate
-            cols.append(np.stack([node[0], np.full(nk, n), np.full(nk, n)], -1))
-            coef.append(np.broadcast_to([1.0, 0.0, 0.0], (nk, 3)))
+        # with the calendar rows, x >= 0 holds everywhere iff it holds on the
+        # first maturity; the smaller set is less degenerate
+        cols.append(np.stack([node[0], np.full(nk, n), np.full(nk, n)], -1))
+        coef.append(np.broadcast_to([1.0, 0.0, 0.0], (nk, 3)))
         cols = np.concatenate([c.reshape(-1, 3) for c in cols])
         coef = np.concatenate([c.reshape(-1, 3) for c in coef])
         position = np.append(node.T.ravel().argsort(), n * nk + 1)
@@ -442,11 +373,10 @@ class _Cone:
 _CONES: OrderedDict = OrderedDict()
 
 
-def _cone(grid: Grid2D, omega: np.ndarray, nonneg: bool) -> tuple[_Cone, tuple]:
+def _cone(grid: Grid2D, omega: np.ndarray) -> tuple[_Cone, tuple]:
     """Build the constraint set of one grid and weight once (small LRU cache)."""
-    key = (grid.strikes.tobytes(), grid.maturities.tobytes(), omega.tobytes(),
-           bool(nonneg))
-    cone = _CONES.pop(key, None) or _Cone(grid, omega, nonneg)
+    key = (grid.strikes.tobytes(), grid.maturities.tobytes(), omega.tobytes())
+    cone = _CONES.pop(key, None) or _Cone(grid, omega)
     _CONES[key] = cone
     while len(_CONES) > 8:
         _CONES.popitem(last=False)
@@ -727,15 +657,14 @@ def _project_stack(cone: _Cone, X: np.ndarray, warm: ProjectionWarmStart):
     return out, active
 
 
-def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(),
-                    grid: Grid2D | None = None,
+def project_to_cone(C, w: WeightField, grid: Grid2D | None = None,
                     warm: ProjectionWarmStart | None = None) -> Surface:
     """Metric projection onto the arbitrage-free cone in the weighted norm.
 
     Returns ``argmin ||x - C||_Omega`` over surfaces that are calendar
-    monotone, convex in strike and (with ``cfg.nonneg``) nonnegative, with
-    ``Omega = w.w * quadrature_matrix(grid)``.  The map is 1-Lipschitz
-    (firmly nonexpansive) in that norm, and an input already in the cone is
+    monotone, convex in strike and nonnegative, with ``Omega = w.w *
+    quadrature_matrix(grid)``.  The map is 1-Lipschitz (firmly
+    nonexpansive) in that norm, and an input already in the cone is
     returned unchanged.  The result is certified by its KKT conditions, as
     described in the module docstring: it is ``C + Omega^-1 A^T mu`` for
     multipliers ``mu >= 0``; no constraint is breached by more than 1e-10,
@@ -746,8 +675,7 @@ def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(
     ``warm`` carries the active set and the last Newton factor from one call
     to the next; it speeds up sequences of projections of nearby surfaces.
     A projection of C already prepared in ``warm`` by a stacked solve is
-    returned without solving again.  With ``cfg.tv2_lambda > 0`` a second-difference smoothing is applied
-    afterwards and kept only if it stays in the cone.
+    returned without solving again.
     """
     if isinstance(C, Surface):
         grid = C.grid
@@ -759,7 +687,7 @@ def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(
     if values.shape != grid.shape or not np.isfinite(values).all():
         raise ValueError("C must be a finite array of the grid's shape")
     omega = w.w * quadrature_matrix(grid)
-    cone, key = _cone(grid, omega, cfg.nonneg)
+    cone, key = _cone(grid, omega)
     if warm is None:
         warm = ProjectionWarmStart()
     if warm.key != key:
@@ -770,21 +698,13 @@ def project_to_cone(C, w: WeightField, cfg: ProjectionConfig = ProjectionConfig(
         (x,), (active,) = _project_stack(cone, values.reshape(1, -1), warm)
         if active is not None:
             warm.active = active
-    x = x.reshape(values.shape)
-
-    if cfg.tv2_lambda > 0:
-        smoothed = _tv2_smooth(x, grid, omega, cfg.tv2_lambda)
-        if feasibility_violation(smoothed, grid, cfg.nonneg) <= _FEAS_TOL:
-            x = smoothed
-
-    return Surface(np.maximum(x, 0.0) if cfg.nonneg else x, grid,
-                   is_price=cfg.nonneg)
+    return Surface(np.maximum(x.reshape(values.shape), 0.0), grid)
 
 
 def projection_certificates(C_raw, w: WeightField,
-                            cfg: ProjectionConfig = ProjectionConfig(),
                             fd: FdConfig = FdConfig(),
                             trials: int = 200,
+                            path_steps: int = 8,
                             rng_seed: int = 0,
                             grid: Grid2D | None = None) -> ProjectionCertificates:
     """Empirical Lipschitz and Dupire-TV-nonincrease certificates.
@@ -792,7 +712,7 @@ def projection_certificates(C_raw, w: WeightField,
     lip_emp is the max ratio ||P(C+d) - P(C+d')||_w / ||d - d'||_w over seeded
     Gaussian perturbation pairs at 1% of the surface norm; dup_tv_path tracks
     the Dupire total variation along the proximal homotopy from C_raw to its
-    projection.
+    projection, at ``path_steps + 1`` equally spaced points.
 
     C_raw is projected first; that projection is the end of the Dupire path,
     and its active set is the working set every perturbed surface starts
@@ -803,6 +723,8 @@ def projection_certificates(C_raw, w: WeightField,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if path_steps < 1:
+        raise ValueError("path_steps must be >= 1")
     if isinstance(C_raw, Surface):
         grid = C_raw.grid
         base = C_raw.values
@@ -812,8 +734,8 @@ def projection_certificates(C_raw, w: WeightField,
         base = np.asarray(C_raw, dtype=float)
 
     warm = ProjectionWarmStart()
-    proj = project_to_cone(base, w, cfg, grid=grid, warm=warm).values
-    cone, _ = _cone(grid, w.w * quadrature_matrix(grid), cfg.nonneg)
+    proj = project_to_cone(base, w, grid=grid, warm=warm).values
+    cone, _ = _cone(grid, w.w * quadrature_matrix(grid))
     rng = np.random.default_rng(rng_seed)
     scale = 0.01 * weighted_norm(base, w, grid)
     lip = 0.0
@@ -823,15 +745,15 @@ def projection_certificates(C_raw, w: WeightField,
         stack = base + d
         solved, _ = _project_stack(cone, stack.reshape(len(stack), -1), warm)
         warm.prepared = {x.tobytes(): y for x, y in zip(stack, solved)}
-        p = [project_to_cone(x, w, cfg, grid=grid, warm=warm).values for x in stack]
+        p = [project_to_cone(x, w, grid=grid, warm=warm).values for x in stack]
         for i in range(0, len(stack), 2):
             denom = weighted_norm(d[i] - d[i + 1], w, grid)
             if denom > 0:
                 lip = max(lip, weighted_norm(p[i] - p[i + 1], w, grid) / denom)
 
     tvs = []
-    for t in range(cfg.path_steps + 1):
-        lam = t / cfg.path_steps
+    for t in range(path_steps + 1):
+        lam = t / path_steps
         blend = (1 - lam) * base + lam * proj
         fld = dupire_field(blend, grid, fd)
         tvs.append(dupire_total_variation(fld, w))

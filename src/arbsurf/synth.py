@@ -84,7 +84,7 @@ def generate_surface(params: MarketParams, grid: Grid2D):
     sig = params.sigma(K, T)
     clean = bs_price(params.spot, K, T, sig, params.rate, params.dividend)
     from .projection import feasibility_violation
-    viol = feasibility_violation(clean, grid, nonneg=True)
+    viol = feasibility_violation(clean, grid)
     if viol > 1e-9:
         raise ValueError(
             f"vol descriptor produced an infeasible clean surface (violation {viol:.2e})")

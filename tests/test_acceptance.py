@@ -17,8 +17,7 @@ from arbsurf.fd import FdConfig, dupire_field, fd_derivatives
 from arbsurf.grid import (Grid2D, Surface, uniform_weight, vega_bump_weight,
                           weighted_norm)
 from arbsurf.pipeline import run_pipeline, strip_meta, summary_to_json
-from arbsurf.projection import (ProjectionConfig, project_to_cone,
-                                projection_certificates)
+from arbsurf.projection import project_to_cone, projection_certificates
 from arbsurf.smolyak import AnisotropyConfig, smolyak_fit
 from arbsurf.synth import MarketParams, generate_surface
 
@@ -44,14 +43,13 @@ def test_criterion_01_projection_nonexpansive():
     K, T = np.meshgrid(g.strikes, g.maturities)
     base = bs_call(100.0, K, T, 0.2)
     rng = np.random.default_rng(1)
-    cfg = ProjectionConfig()
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(500):
         C1 = base + 0.5 * rng.standard_normal(g.shape)
         C2 = base + 0.5 * rng.standard_normal(g.shape)
-        p1 = project_to_cone(C1, w, cfg, grid=g).values
-        p2 = project_to_cone(C2, w, cfg, grid=g).values
+        p1 = project_to_cone(C1, w, grid=g).values
+        p2 = project_to_cone(C2, w, grid=g).values
         gap = (weighted_norm(p1 - p2, w, g)
                - weighted_norm(C1 - C2, w, g))
         worst = max(worst, gap)
@@ -66,8 +64,8 @@ def test_criterion_02_lipschitz_and_dupire_certificates():
     w = vega_bump_weight(g, 100.0)
     _, noisy = generate_surface(MarketParams(noise_sigma=0.25, seed=7), g)
     t0 = time.perf_counter()
-    certs = projection_certificates(noisy, w, ProjectionConfig(path_steps=8),
-                                    FdConfig(), trials=200, rng_seed=0)
+    certs = projection_certificates(noisy, w, FdConfig(), trials=200,
+                                    path_steps=8, rng_seed=0)
     wall = time.perf_counter() - t0
     assert certs.lip_emp <= 1.01
     assert certs.dup_ok
@@ -78,7 +76,6 @@ def test_criterion_02_lipschitz_and_dupire_certificates():
 def test_criterion_03_dykstra_matches_qp_oracle():
     g = Grid2D(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]))
     w = uniform_weight(g)
-    cfg = ProjectionConfig(dykstra_rounds=50)
     rng = np.random.default_rng(7)
     worst, n_infeasible = 0.0, 0
     from arbsurf.projection import feasibility_violation
@@ -87,7 +84,7 @@ def test_criterion_03_dykstra_matches_qp_oracle():
         if feasibility_violation(y, g) <= 0:
             continue
         n_infeasible += 1
-        got = project_to_cone(y, w, cfg, grid=g).values
+        got = project_to_cone(y, w, grid=g).values
         oracle = nnls_cone_projection_full(y, g, w)
         worst = max(worst, weighted_norm(got - oracle, w, g))
     assert worst <= 1e-5

@@ -22,11 +22,23 @@ def test_config_defaults_complete():
     assert thr["relu_maxabs"] == 1e-8
 
 
+BAD_CONFIGS = [
+    {"grids": {}},
+    {"thresholds": {"kkt_limit": 1.0}},
+    # a section that is not an object, or a value that is one
+    {"grid": 5},
+    {"grid": [1, 2]},
+    {"seed": {"a": 1}},
+    # options of the projection that no longer exist
+    {"projection": {"tv2_lambda": 0.0}},
+    {"projection": {"dykstra_rounds": 0}},
+]
+
+
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        RunConfig({"grids": {}})
-    with pytest.raises(ValueError):
-        RunConfig({"thresholds": {"kkt_limit": 1.0}})
+    for bad in BAD_CONFIGS:
+        with pytest.raises(ValueError):
+            RunConfig(bad)
 
 
 def test_config_partial_override():
@@ -97,11 +109,13 @@ def test_cli_stage_flag_equivalent(capsys):
     assert rc == 0
 
 
-def test_cli_bad_config_returns_2(tmp_path):
+def test_cli_bad_config_returns_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"no_such_section": 1}))
-    rc = cli_main(["generate", "--config", str(bad)])
-    assert rc == 2
+    for doc in [{"no_such_section": 1}] + BAD_CONFIGS:
+        bad.write_text(json.dumps(doc))
+        rc = cli_main(["generate", "--config", str(bad)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_cli_seed_override(tmp_path):

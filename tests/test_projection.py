@@ -8,8 +8,7 @@ from arbsurf.fd import FdConfig, dkk_matrix, dtau_matrix
 from arbsurf.grid import (Grid2D, Surface, WeightField, quadrature_matrix,
                           uniform_weight, vega_bump_weight, weighted_inner,
                           weighted_norm)
-from arbsurf.projection import (ProjectionConfig, ProjectionWarmStart,
-                                _second_difference_matrix, convex_in_strike,
+from arbsurf.projection import (ProjectionWarmStart, _second_difference_matrix,
                                 feasibility_violation, pav_isotonic,
                                 project_to_cone, projection_certificates)
 
@@ -143,53 +142,6 @@ def test_pav_nonincreasing_direction():
 
 
 # ---------------------------------------------------------------------------
-# convex regression
-# ---------------------------------------------------------------------------
-
-def test_convex_fixed_point():
-    K = np.linspace(1.0, 3.0, 9)
-    row = K**2
-    got = convex_in_strike(row, np.ones(9), K)
-    np.testing.assert_allclose(got, row, atol=1e-10)
-
-
-def test_convex_021_matches_qp_oracle():
-    K = np.array([0.0, 1.0, 2.0])
-    got = convex_in_strike([0.0, 2.0, 1.0], np.ones(3), K)
-    A = _second_difference_matrix(K)
-    oracle = nnls_cone_projection(np.array([0.0, 2.0, 1.0]), np.ones(3), A)
-    np.testing.assert_allclose(got, oracle, atol=1e-8)
-    np.testing.assert_allclose(got, [0.5, 1.0, 1.5], atol=1e-10)
-
-
-def test_convex_affine_unchanged():
-    K = np.array([1.0, 2.0, 4.0, 7.0])
-    row = 3.0 * K - 5.0
-    np.testing.assert_allclose(convex_in_strike(row, np.ones(4), K), row,
-                               atol=1e-12)
-
-
-def test_convex_weighted_mean_preserved():
-    rng = np.random.default_rng(2)
-    K = np.sort(rng.random(8)) * 10 + 1
-    for _ in range(30):
-        y = rng.standard_normal(8)
-        w = np.abs(rng.standard_normal(8)) + 0.1
-        p = convex_in_strike(y, w, K)
-        assert np.average(p, weights=w) == pytest.approx(
-            np.average(y, weights=w), abs=1e-9)
-        A = _second_difference_matrix(K)
-        assert np.min(A @ p) >= -1e-9
-
-
-def test_convex_input_errors():
-    with pytest.raises(ValueError):
-        convex_in_strike([1.0, 2.0], [1.0, 1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        convex_in_strike([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [2.0, 1.0, 3.0])
-
-
-# ---------------------------------------------------------------------------
 # project_to_cone
 # ---------------------------------------------------------------------------
 
@@ -297,26 +249,6 @@ def test_warm_start_from_another_weight_or_grid_is_cold(
         np.testing.assert_array_equal(carried, cold)
 
 
-def test_dykstra_rounds_has_no_effect(grid21x11, weight21x11, bs_surface_21x11):
-    C = bs_surface_21x11 + np.random.default_rng(14).standard_normal(
-        grid21x11.shape)
-    a = project_to_cone(C, weight21x11, ProjectionConfig(dykstra_rounds=0),
-                        grid=grid21x11).values
-    b = project_to_cone(C, weight21x11, ProjectionConfig(dykstra_rounds=50),
-                        grid=grid21x11).values
-    np.testing.assert_array_equal(a, b)
-
-
-def test_projection_without_nonneg(grid21x11, weight21x11):
-    rng = np.random.default_rng(15)
-    cfg = ProjectionConfig(nonneg=False)
-    for _ in range(5):
-        C = rng.standard_normal(grid21x11.shape)
-        out = project_to_cone(C, weight21x11, cfg, grid=grid21x11).values
-        assert feasibility_violation(out, grid21x11, nonneg=False) <= 1e-10
-        assert np.min(out) < 0
-
-
 def test_projection_refuses_a_result_that_fails_its_certificate(
         monkeypatch, grid21x11, weight21x11, bs_surface_21x11):
     # a dual solution that leaves the surface infeasible must raise, not
@@ -344,11 +276,10 @@ def test_dykstra_matches_qp_oracle_3x3():
     omega = w.w * quadrature_matrix(g)
     A = full_cone_matrix(g, g.shape)
     rng = np.random.default_rng(7)
-    cfg = ProjectionConfig(dykstra_rounds=50)
     worst = 0.0
     for _ in range(25):
         y = rng.standard_normal(g.shape) * 2 + 3
-        got = project_to_cone(y, w, cfg, grid=g).values
+        got = project_to_cone(y, w, grid=g).values
         oracle = nnls_cone_projection(y, omega, A)
         worst = max(worst, weighted_norm(got - oracle, w, g))
     assert worst <= 1e-5
@@ -356,12 +287,11 @@ def test_dykstra_matches_qp_oracle_3x3():
 
 def test_nonexpansiveness_random_pairs(grid21x11, weight21x11, bs_surface_21x11):
     rng = np.random.default_rng(4)
-    cfg = ProjectionConfig()
     for _ in range(40):
         C1 = bs_surface_21x11 + 0.5 * rng.standard_normal(grid21x11.shape)
         C2 = bs_surface_21x11 + 0.5 * rng.standard_normal(grid21x11.shape)
-        p1 = project_to_cone(C1, weight21x11, cfg, grid=grid21x11).values
-        p2 = project_to_cone(C2, weight21x11, cfg, grid=grid21x11).values
+        p1 = project_to_cone(C1, weight21x11, grid=grid21x11).values
+        p2 = project_to_cone(C2, weight21x11, grid=grid21x11).values
         assert (weighted_norm(p1 - p2, weight21x11, grid21x11)
                 <= weighted_norm(C1 - C2, weight21x11, grid21x11) + 1e-9)
 
@@ -377,13 +307,12 @@ def test_idempotence(grid21x11, weight21x11, bs_surface_21x11):
 def test_firm_nonexpansiveness_dykstra():
     g = Grid2D(np.linspace(1, 2, 5), np.linspace(0.1, 0.4, 4))
     w = vega_bump_weight(g, 1.5)
-    cfg = ProjectionConfig(dykstra_rounds=120)
     rng = np.random.default_rng(6)
     for _ in range(30):
         C1 = rng.standard_normal(g.shape)
         C2 = rng.standard_normal(g.shape)
-        p1 = project_to_cone(C1, w, cfg, grid=g).values
-        p2 = project_to_cone(C2, w, cfg, grid=g).values
+        p1 = project_to_cone(C1, w, grid=g).values
+        p2 = project_to_cone(C2, w, grid=g).values
         lhs = weighted_norm(p1 - p2, w, g) ** 2
         rhs = weighted_inner(p1 - p2, C1 - C2, w, g)
         assert lhs <= rhs + 1e-9
@@ -454,18 +383,18 @@ def test_certificates_on_synthetic_surface(grid21x11, weight21x11,
     rng = np.random.default_rng(11)
     noisy = bs_surface_21x11 + 0.25 * rng.standard_normal(grid21x11.shape)
     certs = projection_certificates(np.maximum(noisy, 0.0), weight21x11,
-                                    ProjectionConfig(path_steps=8),
-                                    FdConfig(), trials=50, rng_seed=0,
-                                    grid=grid21x11)
+                                    FdConfig(), trials=50, path_steps=8,
+                                    rng_seed=0, grid=grid21x11)
     assert certs.lip_emp <= 1.01
     assert certs.dup_tv_path.size == 9
     assert certs.dup_ok == bool(np.all(np.diff(certs.dup_tv_path) <= 1e-9))
 
 
 def test_certificates_trials_validation(grid21x11, weight21x11):
-    with pytest.raises(ValueError):
-        projection_certificates(np.ones(grid21x11.shape), weight21x11,
-                                trials=0, grid=grid21x11)
+    for bad in ({"trials": 0}, {"path_steps": 0}):
+        with pytest.raises(ValueError):
+            projection_certificates(np.ones(grid21x11.shape), weight21x11,
+                                    grid=grid21x11, **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +528,7 @@ def test_stacked_member_that_cycles_goes_to_goldfarb_idnani(
 def _stack_of_members(g, w, base, k, seed):
     """A cone and k perturbed copies of base in its scaled coordinates."""
     import arbsurf.projection as projection
-    cone, _ = projection._cone(g, w.w * quadrature_matrix(g), True)
+    cone, _ = projection._cone(g, w.w * quadrature_matrix(g))
     X = base.ravel() + 0.05 * np.random.default_rng(seed).standard_normal((k, base.size))
     V = cone.scale(X)
     return cone, V, cone.values(V)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arbsurf.grid import Grid2D, Surface, uniform_weight
-from arbsurf.projection import ProjectionConfig, project_to_cone
+from arbsurf.projection import project_to_cone
 from arbsurf.risk import RiskConstants, assemble_risk, eps_prox
 
 
