@@ -94,10 +94,23 @@ DEFAULT_CONFIG = {
 }
 
 
+def _same_type(value, default) -> bool:
+    """Whether a config value has its default's type: an int may stand for
+    a float, a bool is no number, and a list or tuple may stand for a list."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, (list, tuple))
+    return isinstance(value, type(default))
+
+
 def _merge_config(user: dict | None, defaults: dict = DEFAULT_CONFIG,
                   path: str = "") -> dict:
     """Fill missing keys from defaults; reject unknown keys, a section that
-    is not an object and a value that is one."""
+    is not an object, a value that is one and a value whose type is not its
+    default's."""
     out = {}
     if user is None:
         user = {}
@@ -115,6 +128,9 @@ def _merge_config(user: dict | None, defaults: dict = DEFAULT_CONFIG,
             raise ValueError(f"config key '{path}/{key}' must not be an object")
         elif uval is None:
             out[key] = dval
+        elif not _same_type(uval, dval):
+            raise ValueError(f"config key '{path}/{key}' must be of type "
+                             f"{type(dval).__name__}, not {type(uval).__name__}")
         else:
             out[key] = uval
     return out
@@ -267,7 +283,8 @@ class PipelineContext:
 
         frontier = error_frontier(interp_target(self.art["noisy"]),
                                   sm["frontier_levels"], acfg, domain,
-                                  compile_nets=False)
+                                  compile_nets=False,
+                                  fits={sm["level"]: fit_noisy})
         w = self.art["weight"]
         Z = weighted_norm(self.art["clean"], w, grid)
         self.art.update(fit_noisy=fit_noisy, fit_clean=fit_clean, G_hat=G_hat,

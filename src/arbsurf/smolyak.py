@@ -233,11 +233,15 @@ def pca_head(section_matrix: np.ndarray, k: int, weights: np.ndarray | None = No
 
 def error_frontier(target, levels, cfg: AnisotropyConfig, domain,
                    heldout_shape: tuple[int, int] = (97, 89),
-                   weight=None, compile_nets: bool = True) -> list[dict]:
+                   weight=None, compile_nets: bool = True,
+                   fits: dict | None = None) -> list[dict]:
     """Error/parameter/time frontier across levels.
 
     One row per level: level, node_count (CPWL vertices), param_count,
-    weighted_error on a held-out dense grid, wall_seconds.
+    weighted_error on a held-out dense grid, wall_seconds.  ``fits`` maps a
+    level to an interpolant already built from the same target and config;
+    that level reuses it, and its wall_seconds then counts only the work
+    done here.
     """
     levels = list(levels)
     if not levels or sorted(levels) != levels:
@@ -256,7 +260,7 @@ def error_frontier(target, levels, cfg: AnisotropyConfig, domain,
     for L in levels:
         cfg_L = AnisotropyConfig(cfg.beta_K, cfg.beta_tau, L, cfg.a_K, cfg.a_tau)
         t0 = time.perf_counter()
-        fit = smolyak_fit(target, cfg_L, domain)
+        fit = fits[L] if fits and L in fits else smolyak_fit(target, cfg_L, domain)
         if compile_nets:
             net = compile_to_relu(fit)
             param_count = net.param_count

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .fd import FdConfig, fd_derivatives
 from .grid import Grid2D, Surface
@@ -65,16 +65,21 @@ def bs_price(spot, strike, tau, sigma, rate=0.0, dividend=0.0):
     st = sigma * np.sqrt(tau)
     d1 = (np.log(spot / strike) + (rate - dividend + sigma**2 / 2) * tau) / st
     d2 = d1 - st
-    return (spot * np.exp(-dividend * tau) * norm.cdf(d1)
-            - strike * np.exp(-rate * tau) * norm.cdf(d2))
+    return (spot * np.exp(-dividend * tau) * ndtr(d1)
+            - strike * np.exp(-rate * tau) * ndtr(d2))
+
+
+def _norm_pdf(x):
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def bs_vega(spot, strike, tau, sigma, rate=0.0, dividend=0.0):
     strike = np.asarray(strike, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    st = np.asarray(sigma, dtype=float) * np.sqrt(tau)
+    sigma = np.asarray(sigma, dtype=float)
+    st = sigma * np.sqrt(tau)
     d1 = (np.log(spot / strike) + (rate - dividend + sigma**2 / 2) * tau) / st
-    return spot * np.exp(-dividend * tau) * norm.pdf(d1) * np.sqrt(tau)
+    return spot * np.exp(-dividend * tau) * _norm_pdf(d1) * np.sqrt(tau)
 
 
 def generate_surface(params: MarketParams, grid: Grid2D):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from arbsurf.cpwl import (CpwlFunction, compile_to_relu, triangulate_tensor_grid)
+from arbsurf.cpwl import (EVAL_BLOCK_ROWS, CpwlFunction, compile_to_relu,
+                          triangulate_tensor_grid)
 
 
 def _random_grid_cpwl(n, seed=0, lo=0.0, hi=1.0):
@@ -94,6 +95,36 @@ def test_lipschitz_audit():
     c3 = net.constants["c3"]
     A_norm = 1.0                      # unit square, identity rescaling
     assert lip_emp <= c3 * A_norm * f.lipschitz_constant() + 1e-9
+
+
+def _one_shot(net, pts):
+    """All points through each layer at once: the unblocked reference pass."""
+    z = np.atleast_2d(pts)
+    for layer in net.layers:
+        z = np.asarray((layer.W @ z.T).T) + layer.b
+        if layer.relu.any():
+            z[:, layer.relu] = np.maximum(z[:, layer.relu], 0.0)
+    return z[:, 0]
+
+
+@pytest.mark.parametrize("n", sorted({1, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS,
+                                      EVAL_BLOCK_ROWS + 1, 255, 256, 257, 2000}))
+def test_blocked_evaluate_equals_one_shot_pass(n):
+    f, rng = _random_grid_cpwl(9, seed=8)
+    net = compile_to_relu(f)
+    pts = rng.random((n, 2))
+    got = net.evaluate(pts)
+    assert got.shape == (n,)
+    assert np.array_equal(got, _one_shot(net, pts))
+
+
+def test_single_point_evaluate_equals_one_shot_pass():
+    f, _ = _random_grid_cpwl(9, seed=8)
+    net = compile_to_relu(f)
+    point = np.array([0.3, 0.7])
+    got = net.evaluate(point)
+    assert np.ndim(got) == 0
+    assert got == _one_shot(net, point)[0]
 
 
 def test_valence_above_dmax_raises():

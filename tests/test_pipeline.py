@@ -29,6 +29,11 @@ BAD_CONFIGS = [
     {"grid": 5},
     {"grid": [1, 2]},
     {"seed": {"a": 1}},
+    # a value whose type is not its default's
+    {"grid": {"n_strikes": "31"}},
+    {"seed": [1]},
+    {"chain": {"sizes": 5}},
+    {"market": {"noise_sigma": True}},
     # options of the projection that no longer exist
     {"projection": {"tv2_lambda": 0.0}},
     {"projection": {"dykstra_rounds": 0}},

@@ -1,11 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
+import arbsurf
 from arbsurf.fd import FdConfig, dupire_field
 from arbsurf.grid import Grid2D, Surface, vega_bump_weight
 from arbsurf.projection import feasibility_violation, project_to_cone
-from arbsurf.synth import (MarketParams, extract_density, generate_surface,
-                           sample_clouds, vix2_replication)
+from arbsurf.synth import (MarketParams, bs_price, bs_vega, extract_density,
+                           generate_surface, sample_clouds, vix2_replication)
 
 from conftest import bs_call
 
@@ -20,6 +26,52 @@ def test_params_validation():
     with pytest.raises(ValueError):
         MarketParams(vol_kind="smile", vol_level=0.01,
                      smile_curvature=-10.0).sigma(np.array([120.0]))
+
+
+def _scipy_stats_forms(spot, K, tau, sigma, rate, dividend):
+    """bs_price and bs_vega written with scipy.stats.norm, in the same order
+    of operations; the normal pdf is one factor of the vega product."""
+    st = sigma * np.sqrt(tau)
+    d1 = (np.log(spot / K) + (rate - dividend + sigma**2 / 2) * tau) / st
+    d2 = d1 - st
+    price = (spot * np.exp(-dividend * tau) * norm.cdf(d1)
+             - K * np.exp(-rate * tau) * norm.cdf(d2))
+    vega = spot * np.exp(-dividend * tau) * norm.pdf(d1) * np.sqrt(tau)
+    return price, vega
+
+
+@pytest.mark.parametrize("params", [
+    MarketParams(),
+    MarketParams(vol_kind="smile", vol_level=0.18, smile_curvature=0.6),
+    MarketParams(rate=0.03, dividend=0.01, vol_level=0.35),
+])
+def test_bs_price_and_vega_match_scipy_stats_bit_for_bit(params):
+    grid = Grid2D(np.linspace(80.0, 120.0, 31), np.linspace(0.1, 1.1, 11))
+    K, T = np.meshgrid(grid.strikes, grid.maturities)
+    sig = params.sigma(K, T)
+    args = (params.spot, K, T, sig, params.rate, params.dividend)
+    price, vega = _scipy_stats_forms(*args)
+    assert np.array_equal(bs_price(*args), price)
+    assert np.array_equal(bs_vega(*args), vega)
+
+
+def test_bs_vega_accepts_list_inputs_like_bs_price():
+    args = (100.0, [90.0, 100.0], [0.5, 0.5], [0.2, 0.2])
+    vega = bs_vega(*args)
+    assert vega.shape == (2,)
+    assert np.array_equal(vega, bs_vega(*(np.asarray(a) for a in args)))
+    assert bs_price(*args).shape == (2,)
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    # a fresh interpreter, since the test suite itself imports scipy.stats
+    src = str(Path(arbsurf.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import arbsurf; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_constant_vol_surface_feasible(grid21x11):
