@@ -73,8 +73,8 @@ class TriMarginalProblem:
         self.epsilon_schedule = tuple(eps.tolist())
         if self.feature_kind not in ("dense", "nystrom"):
             raise ValueError("feature_kind must be dense or nystrom")
-        if self.rank is not None and self.rank > self.x.size:
-            raise ValueError("rank cannot exceed the grid size")
+        if self.rank is not None and not 1 <= self.rank <= self.x.size:
+            raise ValueError("rank must be at least 1 and at most the grid size")
 
     @property
     def n(self) -> int:
@@ -146,7 +146,7 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
     """
     n = problem.n
     c12, c23 = problem.cost_matrices()
-    rank = problem.rank or n
+    rank = n if problem.rank is None else problem.rank
     stages = []
     for eps in problem.epsilon_schedule:
         K12 = np.exp(-c12 / eps)
@@ -323,7 +323,7 @@ def _eta_newton(problem, st, state, max_iter: int = 40):
 
 def tri_sinkhorn(problem: TriMarginalProblem,
                  kernels: BridgeKernels | None = None,
-                 tol: float = 0.24,
+                 tol: float = KKT_PASS,
                  t_max: int = 400,
                  damping_bounds: tuple = (0.1, 1.0),
                  min_final_iters: int = 12,

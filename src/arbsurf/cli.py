@@ -65,7 +65,7 @@ def main(argv=None) -> int:
         for name in STAGE_DEPS[stage] + (stage,):
             ctx._timed(name, getattr(ctx, f"stage_{name}"))
     except Exception as exc:
-        print(f"pipeline stage '{stage}' failed: {exc}", file=sys.stderr)
+        print(f"pipeline stage '{name}' failed: {exc}", file=sys.stderr)
         return 2
     ctx.summary["gates"] = ctx.gates
     print(summary_to_json(ctx.summary))

@@ -22,6 +22,10 @@ __all__ = [
     "compile_to_relu",
 ]
 
+# C1 gate: the largest |ReLU net - CPWL interpolant| on the audit sample;
+# the compilation is exact, so only roundoff may remain
+RELU_MAXABS_PASS = 1e-8
+
 
 @dataclass
 class CpwlFunction:

@@ -21,11 +21,10 @@ from . import bridge as bridge_mod
 from . import chainstats as cs
 from . import descent as descent_mod
 from . import risk as risk_mod
-from .cpwl import compile_to_relu
-from .fd import FdConfig
+from .cpwl import RELU_MAXABS_PASS, compile_to_relu
 from .grid import (Grid2D, Surface, WeightField, check_mesh_admissibility,
                    vega_bump_weight, weighted_norm)
-from .projection import (ProjectionWarmStart, feasibility_violation,
+from .projection import (LIP_PASS, ProjectionWarmStart, feasibility_violation,
                          project_to_cone, projection_certificates)
 from .smolyak import (AnisotropyConfig, _bilinear_eval, error_frontier,
                       smolyak_fit)
@@ -58,52 +57,39 @@ DEFAULT_CONFIG = {
         "vol_kind": "constant", "vol_level": 0.2, "smile_curvature": 0.0,
         "noise_sigma": 0.25,
     },
-    "weight": {"width_frac": 0.25, "floor": 0.05},
-    "mesh": {"c1": 2000.0, "c2": 50.0, "window": 5, "quantile": 0.10},
-    "fd": {
-        "window_K": 5, "window_tau": 3,
-        "clip_lo": 1e-6, "clip_hi": 4.0, "denom_floor": 1e-8,
-    },
-    "smolyak": {
-        "beta_K": 1, "beta_tau": 1, "level": 4,
-        "frontier_levels": [2, 3, 4, 5],
-    },
-    "bridge": {
-        "epsilon_schedule": [1.0, 0.3, 0.1, 0.03],
-        "feature_kind": "nystrom", "rank": 8,
-        "tol": 0.005, "t_max": 400, "triad_center": 5, "ridge": 1e-8,
-    },
+    "mesh": {"c1": 2000.0, "c2": 50.0},
+    "smolyak": {"level": 4, "frontier_levels": [2, 3, 4, 5]},
+    "bridge": {"feature_kind": "nystrom", "rank": 8, "tol": 0.005,
+               "triad_center": 5},
     "projection": {"path_steps": 8, "lip_trials": 200},
     "chain": {
         "sizes": [60, 90, 130, 190, 280, 410, 600, 880, 1290, 1900],
-        "n_maturities_used": 6, "octaves": [-1, 0, 1],
-        "delta": 0.05, "tail_fraction": 0.1, "band_C": 1.0,
+        "n_maturities_used": 6,
     },
     "descent": {
-        "alpha": 1.0, "eta0": 0.1, "noise_sigma": 0.005,
-        "lambda_chain": 0.5, "steps": 200,
-    },
-    "risk": {
-        "c_appr": 1.0, "c_erm": 1.0, "c_br1": 1.0, "c_br2": 1.0,
-        "c3": 1.0, "c_ch": 1.0, "c_spec": 1.0,
-    },
-    "thresholds": {
-        "kkt": 0.24, "r_geo": 1.05, "mu_hat_lo": 1e-4, "mu_hat_hi": 1e-1,
-        "slope": 0.12, "area_drop": -0.02, "lip": 1.01, "relu_maxabs": 1e-8,
+        "eta0": 0.1, "noise_sigma": 0.005, "lambda_chain": 0.5, "steps": 200,
     },
 }
 
 
 def _same_type(value, default) -> bool:
     """Whether a config value has its default's type: an int may stand for
-    a float, a bool is no number, and a list or tuple may stand for a list."""
+    a float, a bool is no number, and a list or tuple may stand for a list
+    whose elements each have the type of the default's first element."""
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     if isinstance(default, float):
         return isinstance(value, (int, float))
     if isinstance(default, (list, tuple)):
-        return isinstance(value, (list, tuple))
+        return (isinstance(value, (list, tuple))
+                and all(_same_type(v, default[0]) for v in value))
     return isinstance(value, type(default))
+
+
+def _type_name(default) -> str:
+    if isinstance(default, (list, tuple)):
+        return f"list of {type(default[0]).__name__}"
+    return type(default).__name__
 
 
 def _merge_config(user: dict | None, defaults: dict = DEFAULT_CONFIG,
@@ -130,7 +116,7 @@ def _merge_config(user: dict | None, defaults: dict = DEFAULT_CONFIG,
             out[key] = dval
         elif not _same_type(uval, dval):
             raise ValueError(f"config key '{path}/{key}' must be of type "
-                             f"{type(dval).__name__}, not {type(uval).__name__}")
+                             f"{_type_name(dval)}, not {uval!r}")
         else:
             out[key] = uval
     return out
@@ -141,6 +127,9 @@ class RunConfig(dict):
 
     def __init__(self, user: dict | None = None):
         super().__init__(_merge_config(user))
+        if self["chain"]["n_maturities_used"] < 2:
+            raise ValueError("config key '/chain/n_maturities_used' must be "
+                             "at least 2: the chain gate compares maturities")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -217,14 +206,9 @@ class PipelineContext:
                               noise_sigma=mc["noise_sigma"],
                               seed=self._seed("market-noise"))
         clean, noisy = generate_surface(params, grid)
-        w = vega_bump_weight(grid, mc["spot"],
-                             width=cfg["weight"]["width_frac"]
-                             * (gc["k_max"] - gc["k_min"]),
-                             floor=cfg["weight"]["floor"])
+        w = vega_bump_weight(grid, mc["spot"])
         report = check_mesh_admissibility(clean, grid, cfg["mesh"]["c1"],
-                                          cfg["mesh"]["c2"],
-                                          window=cfg["mesh"]["window"],
-                                          quantile=cfg["mesh"]["quantile"])
+                                          cfg["mesh"]["c2"])
         self.art.update(grid=grid, weight=w, clean=clean, noisy=noisy,
                         params=params)
         self.summary["mesh"] = {
@@ -248,9 +232,8 @@ class PipelineContext:
                 json.dumps(doc, sort_keys=True, default=_json_default))
 
     def stage_fit(self):
-        cfg = self.config
         grid: Grid2D = self.art["grid"]
-        sm = cfg["smolyak"]
+        sm = self.config["smolyak"]
         domain = ((grid.strikes[0], grid.strikes[-1]),
                   (grid.maturities[0], grid.maturities[-1]))
 
@@ -262,7 +245,7 @@ class PipelineContext:
                                       np.asarray(X, float), np.asarray(Y, float))
             return target
 
-        acfg = AnisotropyConfig(sm["beta_K"], sm["beta_tau"], sm["level"])
+        acfg = AnisotropyConfig(level_L=sm["level"])
         fit_noisy = smolyak_fit(interp_target(self.art["noisy"]), acfg, domain)
         fit_clean = smolyak_fit(interp_target(self.art["clean"]), acfg, domain)
         KK, TT = np.meshgrid(grid.strikes, grid.maturities)
@@ -302,8 +285,8 @@ class PipelineContext:
             "frontier": [{k: v for k, v in r.items() if k != "wall_seconds"}
                          for r in frontier],
         }
-        thr = cfg["thresholds"]["relu_maxabs"]
-        self._gate("C1_relu", maxabs, thr, maxabs <= thr)
+        self._gate("C1_relu", maxabs, RELU_MAXABS_PASS,
+                   maxabs <= RELU_MAXABS_PASS)
         if self.out:
             _write_csv(self.out / "frontier.csv",
                        ["level", "node_count", "param_count", "weighted_error",
@@ -318,20 +301,15 @@ class PipelineContext:
         grid: Grid2D = self.art["grid"]
         spot = cfg["market"]["spot"]
         center = int(bc["triad_center"])
-        fd = FdConfig(**cfg["fd"])
-        marginals = [extract_density(self.art["G_hat"], grid, center + k, fd)[0]
+        marginals = [extract_density(self.art["G_hat"], grid, center + k)[0]
                      for k in (-1, 0, 1)]
         x = grid.strikes / spot
         problem = bridge_mod.TriMarginalProblem(
-            x, *marginals, epsilon_schedule=tuple(bc["epsilon_schedule"]),
-            feature_kind=bc["feature_kind"], rank=bc["rank"])
+            x, *marginals, feature_kind=bc["feature_kind"], rank=bc["rank"])
         kernels = bridge_mod.build_bridge(problem)
-        state, certs = bridge_mod.tri_sinkhorn(problem, kernels, tol=bc["tol"],
-                                               t_max=bc["t_max"],
-                                               ridge=bc["ridge"])
+        state, certs = bridge_mod.tri_sinkhorn(problem, kernels, tol=bc["tol"])
         self.art.update(bridge_problem=problem, bridge_kernels=kernels,
                         bridge_state=state, bridge_certs=certs)
-        thr = cfg["thresholds"]
         self.summary["C2"] = {
             "KKT": certs.kkt,
             "KKT_components": list(certs.kkt_components),
@@ -346,12 +324,11 @@ class PipelineContext:
             "converged": certs.converged,
             "trace": [list(r) for r in state.residual_trace],
         }
-        self._gate("C2_kkt", certs.kkt, thr["kkt"], certs.kkt <= thr["kkt"])
-        self._gate("C2_rgeo", certs.r_geo, thr["r_geo"],
-                   certs.r_geo <= thr["r_geo"])
-        self._gate("C2_muhat", certs.mu_hat,
-                   [thr["mu_hat_lo"], thr["mu_hat_hi"]],
-                   thr["mu_hat_lo"] <= certs.mu_hat <= thr["mu_hat_hi"])
+        self._gate("C2_kkt", certs.kkt, bridge_mod.KKT_PASS, certs.pass_kkt)
+        self._gate("C2_rgeo", certs.r_geo, bridge_mod.RGEO_PASS,
+                   certs.pass_rgeo)
+        self._gate("C2_muhat", certs.mu_hat, list(bridge_mod.MUHAT_BAND),
+                   certs.pass_muhat)
         if self.out:
             _write_csv(self.out / "residual_trace.csv",
                        ["iteration", "r1", "r2", "r3", "martingale", "max"],
@@ -359,37 +336,32 @@ class PipelineContext:
                         enumerate(state.residual_trace)])
 
     def stage_project(self):
-        cfg = self.config
-        pc = cfg["projection"]
+        pc = self.config["projection"]
         grid: Grid2D = self.art["grid"]
         w: WeightField = self.art["weight"]
-        fd = FdConfig(**cfg["fd"])
-        certs = projection_certificates(self.art["noisy"], w, fd,
+        certs = projection_certificates(self.art["noisy"], w,
                                         trials=pc["lip_trials"],
                                         path_steps=pc["path_steps"],
                                         rng_seed=self._seed("lip-pairs"))
         proj = project_to_cone(self.art["G_hat"], w)
         self.art.update(proj_certs=certs, C_proj=proj)
         self._count_projections("certificates", certs.projections)
-        thr = cfg["thresholds"]
         self.summary["C3"] = {
             "lip_emp": certs.lip_emp,
             "dup_ok": certs.dup_ok,
             "dup_tv_path": certs.dup_tv_path.tolist(),
             "feasibility_violation": feasibility_violation(proj.values, grid),
         }
-        self._gate("C3_lip", certs.lip_emp, thr["lip"],
-                   certs.lip_emp <= thr["lip"])
+        self._gate("C3_lip", certs.lip_emp, LIP_PASS, certs.lip_emp <= LIP_PASS)
         self._gate("C3_dup", bool(certs.dup_ok), True, certs.dup_ok)
 
     def stage_gate(self):
         cfg = self.config
         cc = cfg["chain"]
         grid: Grid2D = self.art["grid"]
-        fd = FdConfig(**cfg["fd"])
         n_mat = min(cc["n_maturities_used"], grid.maturities.size)
         tau_idx = np.linspace(0, grid.maturities.size - 1, n_mat).round().astype(int)
-        densities = [extract_density(self.art["C_proj"], grid, int(i), fd)[0]
+        densities = [extract_density(self.art["C_proj"], grid, int(i))[0]
                      for i in tau_idx]
         sizes = list(cc["sizes"])
         edge_w = np.full(n_mat - 1, 1.0 / (n_mat - 1))
@@ -401,18 +373,14 @@ class PipelineContext:
                 sample_clouds(d, atoms, [n_s],
                               seed=self._seed(f"cloud-{s_i}-{m}"))[0], atoms)
                       for m, d in enumerate(densities)]
-            total, _, kernels = cs.chain_energy_counts(
-                counts, atoms, edge_w, octaves=tuple(cc["octaves"]))
+            total, _, kernels = cs.chain_energy_counts(counts, atoms, edge_w)
             values.append(total)
             kernel_scales = [k.components[-1][1] for k in kernels]
         values = np.asarray(values)
         alphas = cs.bartlett_alphas(values - np.minimum.accumulate(values))
         neff = np.asarray([cs.n_eff(n, alphas) for n in sizes])
         series = cs.ChainSeries(np.asarray(sizes, float), values, neff)
-        decision = cs.gate_v2(series, cs.GateThresholds(
-            slope_max=cfg["thresholds"]["slope"],
-            area_min=cfg["thresholds"]["area_drop"]),
-            delta=cc["delta"], tail_fraction=cc["tail_fraction"])
+        decision = cs.gate_v2(series)
         self.art.update(chain_series=series, gate_decision=decision)
         self.summary["R2"] = {
             "sizes": sizes,
@@ -427,7 +395,7 @@ class PipelineContext:
             "pair_kernel_scales": kernel_scales,
         }
         self._gate("R2_gate", [decision.slope_tail, decision.area_drop],
-                   [cfg["thresholds"]["slope"], cfg["thresholds"]["area_drop"]],
+                   [cs.SLOPE_PASS, cs.AREA_PASS],
                    decision.passed)
         if self.out:
             _write_csv(self.out / "chain_series.csv",
@@ -435,16 +403,11 @@ class PipelineContext:
                        list(zip(sizes, values.tolist(), neff.tolist())))
 
     def stage_descend(self):
-        cfg = self.config
-        dc = cfg["descent"]
         grid: Grid2D = self.art["grid"]
         w: WeightField = self.art["weight"]
         T = grid.maturities.size
         graph = descent_mod.path_laplacian(T, np.ones(T - 1))
-        dcfg = descent_mod.DescentConfig(alpha=dc["alpha"], eta0=dc["eta0"],
-                                         noise_sigma=dc["noise_sigma"],
-                                         lambda_chain=dc["lambda_chain"],
-                                         steps=dc["steps"])
+        dcfg = descent_mod.DescentConfig(**self.config["descent"])
         warm = ProjectionWarmStart()
 
         def projector(states):
@@ -477,7 +440,6 @@ class PipelineContext:
                          int(r["accepted"])] for r in traj])
 
     def stage_risk(self):
-        cfg = self.config
         grid: Grid2D = self.art["grid"]
         w: WeightField = self.art["weight"]
         Z = self.art["Z"]
@@ -489,11 +451,6 @@ class PipelineContext:
         graph = self.art["graph"]
 
         e_prox = risk_mod.eps_prox(C_hat, C_out, clean, w, grid=grid)
-        lo = decision.tail_indices[0]
-        series: cs.ChainSeries = self.art["chain_series"]
-        _, band_slope, band_area = cs.tolerance_band(
-            series.sizes.size, cfg["chain"]["delta"], series.neff[lo:],
-            C=cfg["chain"]["band_C"], x_tail=series.sizes[lo:])
         chain_energy_now = self.art["descent_traj"][-1]["chain_energy"] / Z**2
         inputs = {
             "c1_error": self.summary["C1"]["c1_error"],
@@ -506,14 +463,13 @@ class PipelineContext:
             "eps": certs.epsilon_final,
             "delta_mr": certs.delta_lowrank,
             "chain_energy": chain_energy_now,
-            "tol_band": band_slope,
+            "tol_band": decision.band_slope,
             "lambda2": graph.lambda2,
             "slope_plus": max(decision.slope_tail, 0.0),
             "area_minus": max(-decision.area_drop, 0.0),
             "eps_prox": e_prox,
         }
-        constants = risk_mod.RiskConstants(**cfg["risk"])
-        budget = risk_mod.assemble_risk(inputs, constants)
+        budget = risk_mod.assemble_risk(inputs)
         measured = 1.0 + weighted_norm(C_out.values - clean.values, w, grid) / Z
         bound_ok = measured <= budget.total * (1 + 1e-12)
         self.art.update(C_out=C_out, risk_budget=budget,

@@ -75,6 +75,9 @@ _NEWTON_STEPS = 30
 # members takes about 0.5 MB; larger stacks solve hardly faster and raise
 # the process's peak memory by the larger transient arrays
 _STACK = 16
+# C3 gate: the empirical Lipschitz ratio of the projection may exceed 1 by
+# no more than rounding and the 1% perturbation scale allow
+LIP_PASS = 1.01
 
 
 @dataclass

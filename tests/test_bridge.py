@@ -91,6 +91,9 @@ def test_problem_validation():
         TriMarginalProblem(x, u, u, u, epsilon_schedule=(0.1, 0.3))
     with pytest.raises(ValueError):
         TriMarginalProblem(x, u, u, u, rank=5)
+    for rank in (0, -2):
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            TriMarginalProblem(x, u, u, u, rank=rank)
     with pytest.raises(ValueError):
         TriMarginalProblem(np.array([1.0, 0.5]), u, u, u)
 

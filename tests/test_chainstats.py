@@ -296,19 +296,15 @@ def test_stage_gate_agrees_with_pairwise_chain_energy():
     cc, grid = ctx.config["chain"], ctx.art["grid"]
     n_mat = cc["n_maturities_used"]
     tau_idx = np.linspace(0, grid.maturities.size - 1, n_mat).round().astype(int)
-    densities = [extract_density(ctx.art["C_proj"], grid, int(i),
-                                 FdConfig(**ctx.config["fd"]))[0]
+    densities = [extract_density(ctx.art["C_proj"], grid, int(i), FdConfig())[0]
                  for i in tau_idx]
     atoms = grid.strikes / ctx.config["market"]["spot"]
-    octaves = tuple(cc["octaves"])
     for s_i, n_s in enumerate(sizes):
         clouds = [sample_clouds(d, atoms, [n_s],
                                 seed=ctx._seed(f"cloud-{s_i}-{m}"))[0]
                   for m, d in enumerate(densities)]
         want, _, kernels = chain_energy(
             clouds, np.full(n_mat - 1, 1.0 / (n_mat - 1)),
-            kernel_policy=lambda a, b: median_bandwidth_mixture(
-                a, b, octaves=octaves),
             return_kernels=True)
         got = ctx.summary["R2"]["values"][s_i]
         assert abs(got - want) <= 1e-12 * abs(want) + 1e-14

@@ -5,21 +5,20 @@ import sys
 import numpy as np
 import pytest
 
+from arbsurf import bridge, chainstats, cpwl, projection
 from arbsurf.cli import main as cli_main
-from arbsurf.pipeline import (DEFAULT_CONFIG, RunConfig, run_pipeline,
-                              strip_meta, summary_to_json)
+from arbsurf.pipeline import (DEFAULT_CONFIG, PipelineContext, RunConfig,
+                              run_pipeline, strip_meta, summary_to_json)
 
 
-def test_config_defaults_complete():
-    cfg = RunConfig()
-    thr = cfg["thresholds"]
-    assert thr["kkt"] == 0.24
-    assert thr["r_geo"] == 1.05
-    assert thr["mu_hat_lo"] == 1e-4 and thr["mu_hat_hi"] == 1e-1
-    assert thr["slope"] == 0.12
-    assert thr["area_drop"] == -0.02
-    assert thr["lip"] == 1.01
-    assert thr["relu_maxabs"] == 1e-8
+def _leaves(tree):
+    return sum(_leaves(v) if isinstance(v, dict) else 1 for v in tree.values())
+
+
+def test_default_config_holds_only_run_inputs():
+    # gate thresholds and method constants live in the library, not here
+    assert _leaves(DEFAULT_CONFIG) == 30
+    assert not {"thresholds", "risk", "fd", "weight"} & set(DEFAULT_CONFIG)
 
 
 BAD_CONFIGS = [
@@ -37,6 +36,19 @@ BAD_CONFIGS = [
     # options of the projection that no longer exist
     {"projection": {"tv2_lambda": 0.0}},
     {"projection": {"dykstra_rounds": 0}},
+    # list elements must have the type of the default's elements
+    {"chain": {"sizes": ["a", "b"]}},
+    {"smolyak": {"frontier_levels": ["x"]}},
+    {"chain": {"sizes": [60.5, 90]}},
+    # the chain needs two maturities to have an edge
+    {"chain": {"n_maturities_used": 1}},
+    # keys that restated a library default and no longer exist
+    {"thresholds": {"kkt": 0.24}},
+    {"risk": {"c_appr": 1.0}},
+    {"fd": {"window_K": 5}},
+    {"weight": {"floor": 0.05}},
+    {"chain": {"band_C": 1.0}},
+    {"bridge": {"ridge": 1e-8}},
 ]
 
 
@@ -81,11 +93,33 @@ def test_determinism_byte_identical(reference_run):
             == summary_to_json(strip_meta(s2)).encode())
 
 
-def test_unreachable_kkt_threshold_fails_gate():
-    summary, status = run_pipeline({"thresholds": {"kkt": 0.0}})
+def test_gate_thresholds_are_the_module_constants(reference_run):
+    summary, _ = reference_run
+    want = {
+        "C1_relu": cpwl.RELU_MAXABS_PASS,
+        "C2_kkt": bridge.KKT_PASS,
+        "C2_rgeo": bridge.RGEO_PASS,
+        "C2_muhat": list(bridge.MUHAT_BAND),
+        "C3_lip": projection.LIP_PASS,
+        "R2_gate": [chainstats.SLOPE_PASS, chainstats.AREA_PASS],
+    }
+    for name, threshold in want.items():
+        assert summary["gates"][name]["threshold"] == threshold, name
+
+
+def test_unreachable_kkt_threshold_fails_gate(monkeypatch):
+    monkeypatch.setattr(bridge, "KKT_PASS", 0.0)
+    summary, status = run_pipeline()
     assert status == 1
-    assert not summary["gates"]["C2_kkt"]["pass"]
+    assert summary["gates"]["C2_kkt"] == {
+        "value": summary["C2"]["KKT"], "threshold": 0.0, "pass": False}
     assert not summary["all_pass"]
+    # the gate and the bridge's own certificate read the same threshold
+    ctx = PipelineContext()
+    for stage in ("generate", "fit", "bridge"):
+        getattr(ctx, f"stage_{stage}")()
+    assert ctx.art["bridge_certs"].pass_kkt is False
+    assert ctx.gates["C2_kkt"]["pass"] is False
 
 
 def test_artifacts_written(tmp_path):
@@ -121,6 +155,18 @@ def test_cli_bad_config_returns_2(tmp_path, capsys):
         rc = cli_main(["generate", "--config", str(bad)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_cli_single_stage_names_the_stage_that_raised(tmp_path, capsys):
+    # a negative smile volatility makes generate raise; risk depends on it
+    bad = tmp_path / "neg_vol.json"
+    bad.write_text(json.dumps({"market": {"vol_kind": "smile",
+                                          "smile_curvature": -10.0}}))
+    for stage in ("risk", "all"):
+        rc = cli_main([stage, "--config", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "pipeline stage 'generate' failed: vol descriptor" in err, stage
 
 
 def test_cli_seed_override(tmp_path):
