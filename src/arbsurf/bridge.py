@@ -487,7 +487,7 @@ def certify(state: BridgeState, problem: TriMarginalProblem,
     phi2 = st.phi2
     G = (phi2.T * problem.m1) @ phi2 + (phi2.T * problem.m3) @ phi2
     G = G + ridge * np.eye(G.shape[0])
-    mu_hat = max(_min_eig(G), MU_HAT_FLOOR)
+    mu_hat = max(float(np.linalg.eigvalsh(G)[0]), MU_HAT_FLOOR)
 
     kkt, comps = kkt_residual(state, problem, kernels)
     return CertificateSet(
@@ -502,18 +502,6 @@ def certify(state: BridgeState, problem: TriMarginalProblem,
         fallbacks_taken=tuple(state.fallbacks_taken),
         converged=state.converged,
     )
-
-
-def _min_eig(G: np.ndarray) -> float:
-    """Smallest eigenvalue by Lanczos for larger Grams, dense otherwise."""
-    if G.shape[0] > 64:
-        from scipy.sparse.linalg import eigsh
-        try:
-            return float(eigsh(G, k=1, which="SA",
-                               return_eigenvectors=False)[0])
-        except Exception:
-            pass
-    return float(np.linalg.eigvalsh(G)[0])
 
 
 def dual_value(state: BridgeState, problem: TriMarginalProblem,

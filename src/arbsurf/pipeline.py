@@ -130,6 +130,14 @@ class RunConfig(dict):
         if self["chain"]["n_maturities_used"] < 2:
             raise ValueError("config key '/chain/n_maturities_used' must be "
                              "at least 2: the chain gate compares maturities")
+        n_mat, n_k = self["grid"]["n_maturities"], self["grid"]["n_strikes"]
+        if not 1 <= self["bridge"]["triad_center"] <= n_mat - 2:
+            raise ValueError(f"config key '/bridge/triad_center' must lie in "
+                             f"[1, {n_mat - 2}]: the bridge's triad is the "
+                             "maturities on either side of it")
+        if not 1 <= self["bridge"]["rank"] <= n_k:
+            raise ValueError(f"config key '/bridge/rank' must lie in [1, {n_k}], "
+                             "the number of strikes")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -343,9 +351,11 @@ class PipelineContext:
                                         trials=pc["lip_trials"],
                                         path_steps=pc["path_steps"],
                                         rng_seed=self._seed("lip-pairs"))
-        proj = project_to_cone(self.art["G_hat"], w)
+        warm = ProjectionWarmStart()
+        proj = project_to_cone(self.art["G_hat"], w, warm=warm)
         self.art.update(proj_certs=certs, C_proj=proj)
         self._count_projections("certificates", certs.projections)
+        self._count_projections("project", warm.counters())
         self.summary["C3"] = {
             "lip_emp": certs.lip_emp,
             "dup_ok": certs.dup_ok,
@@ -444,7 +454,9 @@ class PipelineContext:
         w: WeightField = self.art["weight"]
         Z = self.art["Z"]
         C_hat: Surface = self.art["C_hat"]
-        C_out = project_to_cone(C_hat, w)
+        warm = ProjectionWarmStart()
+        C_out = project_to_cone(C_hat, w, warm=warm)
+        self._count_projections("risk", warm.counters())
         clean: Surface = self.art["clean"]
         certs: bridge_mod.CertificateSet = self.art["bridge_certs"]
         decision: cs.GateDecision = self.art["gate_decision"]

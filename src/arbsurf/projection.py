@@ -17,20 +17,20 @@ for half-spaces the dual problem is the one Hildreth's method solves):
 Where rounding is larger than 1e-10 (large prices or multipliers) the
 tolerance is 1e-12 times the magnitude of the terms summed into the
 constraint's value.  A result that fails the certificate raises
-``RuntimeError``.  The dual
-problem is solved by block active-set Newton steps; when those cycle, the
-Goldfarb-Idnani dual active-set method finishes from their last working
-set.  It keeps the active constraints linearly independent, so the
-degenerate duals found where many constraints meet need no special care.
+``RuntimeError``.
 
-The Newton steps run on a stack of independent problems on one grid and
-weight: their working sets are stacked, the Gram matrix is block diagonal
-and one banded factorisation and solve serve the whole stack per step.
-``project_to_cone`` is the stack of one; ``projection_certificates`` solves
-its perturbed surfaces in stacks of ``_STACK``.  Each member leaves the
-stack when it is solved, or alone for the Goldfarb-Idnani method, and is
-certified on its own.  ``pav_isotonic`` is the exact projection of one
-strike's column onto the calendar family.
+The dual problem, minimise ``q(lam) = 1/2 ||v + S^T lam||^2`` over
+``lam >= 0`` in scaled coordinates, is solved by one loop (``_solve_dual``)
+whose iterates stay dual feasible and lower q.  Each step tries a block
+active-set Newton step (Hintermueller, Ito and Kunisch 2002), which
+converges in a few steps from a good start.  Where it stalls, as on
+degenerate duals, a descent step takes over: Newton on rows freed by
+Lawson and Hanson's rule, searched along the projection arc's breakpoints
+(More and Toraldo 1991).  Both solve with banded Cholesky factors.  A
+stack of problems on one grid and weight shares each factorisation (the
+Gram matrix is block diagonal): ``project_to_cone`` is the stack of one,
+``projection_certificates`` solves in stacks of ``_STACK``.
+``pav_isotonic`` projects one strike's column onto the calendar family.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpstrf
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .fd import FdConfig, dupire_field, dupire_total_variation
 from .grid import Grid2D, Surface, WeightField, quadrature_matrix, weighted_norm
@@ -66,10 +65,14 @@ _ADD_REL = 1e-14
 # ridge on the unit-diagonal Gram matrix in the Newton steps; three steps
 # of iterative refinement remove its effect on the range of the Gram matrix
 _RIDGE = 1e-6
-# squared distance of a unit constraint normal from the span of the active
-# ones below which it counts as linearly dependent on them
-_DEPENDENT = 1e-11
-_NEWTON_STEPS = 30
+# steps a member may take before the solve raises.  Cold projections of
+# random 3N(0,1)+20 surfaces on 61 strikes under weights spread over a
+# factor e^5 take about 380 and up to 750, nearly every one followed by a
+# safeguard step
+_NEWTON_STEPS = 5000
+# breakpoints of the arc the safeguard's search tries at most, spaced
+# geometrically in rank so that the first few are all tried
+_BREAKPOINTS = 32
 # members per stacked solve in projection_certificates, even so that each
 # perturbation pair lies in one stack.  At 31x11 the stacked Gram band of 16
 # members takes about 0.5 MB; larger stacks solve hardly faster and raise
@@ -87,10 +90,12 @@ class ProjectionCertificates:
 
     * ``calls``: projections made, ``2 * trials + 1`` (the base surface and
       every perturbed one);
-    * ``newton_steps``: Newton steps summed over the members of each stack;
-    * ``factor_reuses``: of those, the steps served by a factor made for
-      another member of the stack or kept from an earlier step;
-    * ``gi_handoffs``: members finished by the Goldfarb-Idnani method.
+    * ``newton_steps``: steps of the dual loop summed over the members of
+      each stack, one active-set trial each;
+    * ``factor_reuses``: the trials served by a factor made for another
+      member of the stack or kept from an earlier step;
+    * ``safeguard_steps``: of the steps, those that went on to a safeguard
+      descent step (``_safeguard``), whose solves are not counted above.
     """
 
     lip_emp: float
@@ -105,21 +110,13 @@ class ProjectionWarmStart:
 
     Pass one instance to a sequence of projections of nearby surfaces on the
     same grid and weight (perturbation pairs, descent steps).  It holds the
-    last active set, from which the next call starts, and the last Newton
-    step's working set with its Gram band and Cholesky factor, which a later
-    step with the same working set reuses.  Both belong to one grid and
-    weight (``key``) and are dropped when a call brings another.
-    The active set changes only how fast the solver finds the solution, not
-    what it returns beyond rounding; reusing the factor changes nothing.
-    ``prepared`` maps the bytes of an input to its projection when a stacked
-    solve has already made it (``projection_certificates``); the call that
-    brings that input returns it.
-
-    The counters tally the projections solved with this instance (each
-    member of a stack counts once), their Newton steps (per member), the
-    member-steps served by a factor made for another member or kept from an
-    earlier step, and the members that went on to the Goldfarb-Idnani
-    method.
+    last active set, from which the next call starts, and the last trial's
+    working set with its Gram band and Cholesky factor, which a later trial
+    on the same working set reuses; both belong to one grid and weight
+    (``key``).  The active set changes the result by rounding at most, the
+    reuse not at all.  ``prepared`` maps the bytes of an input to its
+    projection made by a stacked solve (``projection_certificates``).  The
+    counters are those of ``ProjectionCertificates.projections``.
     """
 
     key: object = None
@@ -129,12 +126,12 @@ class ProjectionWarmStart:
     calls: int = 0
     newton_steps: int = 0
     factor_reuses: int = 0
-    gi_handoffs: int = 0
+    safeguard_steps: int = 0
 
     def counters(self) -> dict:
         return {"calls": self.calls, "newton_steps": self.newton_steps,
                 "factor_reuses": self.factor_reuses,
-                "gi_handoffs": self.gi_handoffs}
+                "safeguard_steps": self.safeguard_steps}
 
 
 def pav_isotonic(seq, weights, direction: str = "nondecreasing") -> np.ndarray:
@@ -206,12 +203,13 @@ class _Cone:
     With ``u = sqrt(omega) * x`` the weighted projection is Euclidean.  Row i
     of ``S`` is ``a_i / sqrt(omega) / nu_i``, a unit vector, so that
     ``a_i . x = nu_i * (S u)_i``.  Each row touches at most three nodes and
-    is stored as three node indices and coefficients; node ``n`` is a dummy
-    with coefficient 0, and vectors in scaled coordinates carry it as a last
-    entry that stays 0.  The methods take a stack of k problems, one per
-    row of each array; stacked constraint ``member*m + row`` is that
-    member's constraint ``row``.  Rows are ordered by their first node in
-    strike-major order, which makes the Gram matrix ``S S^T`` banded.
+    is stored as three node indices and coefficients, and each node as the
+    rows that touch it; node ``n`` is a dummy with coefficient 0, and
+    vectors in scaled coordinates carry it as a last entry that stays 0.
+    The methods take a stack of k problems, one per row of each array;
+    stacked constraint ``member*m + row`` is that member's constraint
+    ``row``.  Rows are ordered by their first node in strike-major order,
+    which makes the Gram matrix ``S S^T`` banded.
     """
 
     def __init__(self, grid: Grid2D, omega: np.ndarray):
@@ -244,25 +242,33 @@ class _Cone:
 
         S = sp.csr_array((self.coef.ravel(), cols.ravel(),
                           np.arange(0, 3 * self.m + 1, 3)), shape=(self.m, n + 1))
-        # the Gram matrix S S^T row by row: row r meets rows nbr[r] with
-        # inner products gval[r]; padding points at the sentinel row m.
-        # Its lower band needs only the rows at or after r: nbr_lower[r].
+        # S^T node by node: node j meets rows rows_t[j] with coefficients
+        # coef_t[j], in increasing row order; padding has coefficient 0, and
+        # so has the dummy node
+        ST = S.T.tocsr()[:n]
+        ST.sort_indices()
+        counts = np.append(np.diff(ST.indptr), 0)
+        node_of = np.repeat(np.arange(n + 1), counts)
+        slot = np.arange(ST.nnz) - np.repeat(ST.indptr, counts)
+        self.rows_t = np.zeros((n + 1, counts.max()), dtype=np.intp)
+        self.coef_t = np.zeros(self.rows_t.shape)
+        self.rows_t[node_of, slot] = ST.indices
+        self.coef_t[node_of, slot] = ST.data
+        self.abs_coef_t = np.abs(self.coef_t)
+        # the lower band of the Gram matrix S S^T row by row: row r meets
+        # rows nbr_lower[r] (at or after r) with inner products
+        # gval_lower[r]; padding points at the sentinel row m
         G = (S @ S.T).tocsr()
         G.sort_indices()
         row = np.repeat(np.arange(self.m), np.diff(G.indptr))
-
-        def table(keep):
-            r = row[keep]
-            counts = np.bincount(r, minlength=self.m)
-            slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            nbr = np.full((self.m, counts.max()), self.m)
-            val = np.zeros(nbr.shape)
-            nbr[r, slot] = G.indices[keep]
-            val[r, slot] = G.data[keep]
-            return nbr, val
-
-        self.nbr, self.gval = table(np.ones(G.nnz, dtype=bool))
-        self.nbr_lower, self.gval_lower = table(G.indices >= row)
+        keep = G.indices >= row
+        r = row[keep]
+        counts = np.bincount(r, minlength=self.m)
+        slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.nbr_lower = np.full((self.m, counts.max()), self.m)
+        self.gval_lower = np.zeros(self.nbr_lower.shape)
+        self.nbr_lower[r, slot] = G.indices[keep]
+        self.gval_lower[r, slot] = G.data[keep]
 
     def scale(self, X: np.ndarray) -> np.ndarray:
         """Scaled coordinates ``sqrt(omega) * x`` of each row of X, with the
@@ -272,32 +278,25 @@ class _Cone:
         np.multiply(self.sqrt_omega, X, out=V[:, :-1])
         return V
 
-    def _row_sums(self, coef: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Each constraint's coefficients ``coef`` dotted with its nodes, for
+    @staticmethod
+    def _sums(coef: np.ndarray, index: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Each row of ``coef`` dotted with the entries ``index`` picks from
         every row of X (one member each)."""
         if X.shape[0] == 1:
             # a lone problem keeps the row-wise form: the stacked form
             # rounds differently in the last bit
-            return np.einsum("ij,ij->i", coef, X[0][self.cols])[None]
-        return np.einsum("ij,kij->ki", coef, X[:, self.cols])
-
-    def _stacked(self, g: np.ndarray, k: int):
-        """Constraint and node indices of stacked rows ``g = member*m +
-        row`` of k members; member j's nodes are ``j*(n+1) + node``."""
-        if k == 1:
-            return g, self.cols[g]
-        member, row = np.divmod(g, self.m)
-        return row, self.cols[row] + (self.n + 1) * member[:, None]
+            return np.einsum("ij,ij->i", coef, X[0][index])[None]
+        return np.einsum("ij,kij->ki", coef, X[:, index])
 
     def values(self, U: np.ndarray) -> np.ndarray:
         """S u for each row u of U: every constraint's value, scaled to a
         unit normal."""
-        return self._row_sums(self.coef, U)
+        return self._sums(self.coef, self.cols, U)
 
     def rounding(self, V: np.ndarray) -> np.ndarray:
         """Magnitude of the terms summed into each scaled value S v of each
         row v of V, the scale of its rounding."""
-        return self._row_sums(self.abs_coef, np.abs(V))
+        return self._sums(self.abs_coef, self.cols, np.abs(V))
 
     def threshold(self, absolute: float, relative: float,
                   terms: np.ndarray) -> np.ndarray:
@@ -306,32 +305,20 @@ class _Cone:
         is larger."""
         return np.maximum(absolute / self.nu, relative * terms)
 
-    def combine(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """S[rows]^T lam of one problem, with the dummy node."""
-        return np.bincount(self.cols[rows].ravel(),
-                           (self.coef[rows] * lam[:, None]).ravel(),
-                           minlength=self.n + 1)
+    def combine(self, L: np.ndarray) -> np.ndarray:
+        """``S^T lam`` for each row lam of L (one member each), with the
+        dummy node."""
+        return self._sums(self.coef_t, self.rows_t, L)
 
-    def check(self, V: np.ndarray, g: np.ndarray, lam: np.ndarray):
-        """``U = V + S[rows]^T lam`` for stacked rows g, the values ``S u``
-        of each row and their rounding terms, the magnitude of the terms
-        summed into each value.  Rows with ``lam = 0`` add exact zeros to
-        all three."""
-        row, nodes = self._stacked(g, V.shape[0])
-        nodes = nodes.ravel()
-        U = V + np.bincount(nodes, (self.coef[row] * lam[:, None]).ravel(),
-                            minlength=V.size).reshape(V.shape)
-        spread = np.abs(V) + np.bincount(
-            nodes, (self.abs_coef[row] * np.abs(lam)[:, None]).ravel(),
-            minlength=V.size).reshape(V.shape)
-        return U, self._row_sums(self.coef, U), self._row_sums(self.abs_coef, spread)
-
-    def _place(self, rows: np.ndarray, k: int = 1) -> np.ndarray:
-        """Position of each (stacked) constraint within ``rows``, -1 if
-        absent."""
-        where = np.full(k * self.m + 1, -1)
-        where[rows] = np.arange(rows.size)
-        return where
+    def check(self, V: np.ndarray, L: np.ndarray):
+        """``U = V + S^T lam`` for the rows of V and L, the values ``S u`` of
+        each row and their rounding terms, the magnitude of the terms summed
+        into each value.  Rows with ``lam = 0`` add exact zeros to all
+        three."""
+        U = V + self.combine(L)
+        spread = np.abs(V) + self._sums(self.abs_coef_t, self.rows_t, np.abs(L))
+        return (U, self.values(U),
+                self._sums(self.abs_coef, self.cols, spread))
 
     def gram_band(self, W: np.ndarray, k: int = 1) -> np.ndarray:
         """Lower band storage of S[W] S[W]^T for increasing stacked indices W
@@ -349,28 +336,14 @@ class _Cone:
             nbr = self.nbr_lower[row]
             nbr = np.where(nbr < self.m, nbr + (member * self.m)[:, None],
                            k * self.m)
-        d = self._place(W, k)[nbr] - np.arange(W.size)[:, None]
+        # position of each stacked constraint within W, -1 if absent
+        where = np.full(k * self.m + 1, -1)
+        where[W] = np.arange(W.size)
+        d = where[nbr] - np.arange(W.size)[:, None]
         i, j = (d >= 0).nonzero()
         ab = np.zeros((int(d.max()) + 1, W.size), order="F")
         ab[d[i, j], i] = self.gval_lower[row[i], j]
         return ab
-
-    def gram(self, A: np.ndarray) -> np.ndarray:
-        """Dense S[A] S[A]^T for indices A in any order."""
-        col = self._place(A)[self.nbr[A]]
-        a = np.broadcast_to(np.arange(A.size)[:, None], col.shape)
-        inside = col >= 0
-        G = np.zeros((A.size, A.size))
-        G[a[inside], col[inside]] = self.gval[A][inside]
-        return G
-
-    def gram_column(self, A: np.ndarray, p: int) -> np.ndarray:
-        """S[A] S[p]^T."""
-        col = self._place(A)[self.nbr[p]]
-        inside = col >= 0
-        out = np.zeros(A.size)
-        out[col[inside]] = self.gval[p][inside]
-        return out
 
 
 _CONES: OrderedDict = OrderedDict()
@@ -406,25 +379,27 @@ def _refined_solve(ab: np.ndarray, factor: np.ndarray,
 
 def _newton(cone: _Cone, B: np.ndarray, inW: np.ndarray, g: np.ndarray,
             warm: ProjectionWarmStart):
-    """Multipliers of one Newton step for each member of a stack.
+    """One banded Newton solve for each member of a stack.
 
-    Member i solves ``G_WW lam = -b_W`` on its working set ``W = inW[i]``
-    with a banded Cholesky factor of the ridged Gram matrix; refinement
-    recovers the unridged solution on the range of ``G_WW``, where the
-    projection is determined.  On a linearly dependent W the ridge keeps the
-    multipliers' null-space part, which the projection does not see, near
-    zero.  The members do not couple, so the stack's Gram matrix is block
-    diagonal and one banded factorisation and solve serve them all.  When
-    every member has the same W, one member's factor is made (or ``warm``'s
-    kept one reused, if it was made for W) and repeated once per member.
-    ``g`` is ``np.flatnonzero(inW)``, the stacked rows.
+    Member i solves ``G_WW lam = -b_W`` on its rows ``W = inW[i]`` with a
+    banded Cholesky factor of the ridged Gram matrix; refinement recovers
+    the unridged solution on the range of ``G_WW``, where the projection is
+    determined.  On a linearly dependent W the ridge keeps the solution's
+    null-space part, which the projection does not see, near zero.  With
+    ``b = S v`` and W the working set this is the active-set trial's
+    multipliers; with ``b = S u`` at the current point and W the free rows
+    it is the safeguard's Newton step.  The members do not couple, so the
+    stack's Gram matrix is block diagonal and one banded factorisation and
+    solve serve them all.  When every member has the same W, one member's
+    factor is made (or ``warm``'s kept one reused, if it was made for W) and
+    repeated once per member.  ``g`` is ``np.flatnonzero(inW)``, the stacked
+    rows.
 
-    Returns the multipliers on the stacked rows and None, or, if some
-    member's factorisation failed, the multipliers on the rows of the
-    others and the mask of the members that succeeded.
+    Returns the solution on the stacked rows and None, or, if some member's
+    factorisation failed, the solution on the rows of the others and the
+    mask of the members that succeeded.
     """
     k = inW.shape[0]
-    warm.newton_steps += k
     if k == 1 or (inW == inW[0]).all():
         W = g[:g.size // k]
         if W.size == 0:
@@ -458,91 +433,83 @@ def _newton(cone: _Cone, B: np.ndarray, inW: np.ndarray, g: np.ndarray,
     return lam, (None if ok.all() else ok)
 
 
-def _independent_pair(cone: _Cone, b: np.ndarray, W: np.ndarray):
-    """A linearly independent active set with nonnegative multipliers.
+def _breached(cone: _Cone, s: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The constraints breached beyond the working-set threshold."""
+    return s < -cone.threshold(_ADD_TOL, _ADD_REL, terms)
 
-    Pivoted Cholesky keeps a maximal independent subset of W; constraints
-    whose multipliers come out negative are dropped until none is.  The
-    result is a valid start for the Goldfarb-Idnani method.
+
+def _safeguard(cone: _Cone, V: np.ndarray, L: np.ndarray,
+               warm: ProjectionWarmStart):
+    """One descent step of the dual from each member's multipliers ``L``
+    (all ``>= 0``).
+
+    The step solves Newton's equations (``_newton``) on the free rows: the
+    positive multipliers and the breached rows, less every row at zero that
+    the solution would push negative, solved again until none is left
+    (Lawson and Hanson's rule).  A member left with its support only, and
+    stationary on it, frees its most breached row alone, once; a member
+    whose factorisation fails takes the projected gradient.  The search
+    along the arc ``[lam + alpha d]_+`` (More and Toraldo 1991) takes the
+    point of least q among ``_BREAKPOINTS`` of the arc's breakpoints (the
+    first of them all), the minimiser of q along the line and the arc's
+    end, which lowers q unless the member is stationary; q's change is
+    computed exactly as ``s . D + 1/2 ||S^T D||^2`` for the step D.  A
+    member no point lowers keeps ``L``.
+
+    Returns the new multipliers, the ``cone.check`` arrays of their points
+    and each member's next working set: its positive multipliers and
+    breached rows.
     """
-    A = np.sort(W)
-    while A.size:
-        factor, piv, rank, _ = dpstrf(cone.gram(A), lower=1, tol=_DEPENDENT)
-        A = A[piv[:rank] - 1]
-        L = np.tril(factor[:rank, :rank])
-        lam = -cho_solve((L, True), b[A])
-        if lam.min() >= 0:
-            return A, lam, L
-        A = np.sort(A[lam > 0])
-    return A, np.zeros(0), np.zeros((0, 0))
-
-
-def _goldfarb_idnani(cone: _Cone, v: np.ndarray, b: np.ndarray,
-                     W: np.ndarray) -> np.ndarray:
-    """Dual active-set method (Goldfarb and Idnani 1983) from the set W.
-
-    Each step takes the most violated constraint p and moves the primal point
-    and the multipliers along the directions that keep the active set's
-    constraints tight, until p is satisfied (p joins the set) or an active
-    multiplier reaches zero (that constraint leaves).  If p is linearly
-    dependent on the active set only the multipliers move.  ``L`` is the
-    Cholesky factor of the active Gram matrix in the order of ``A``; after
-    each join the multipliers are solved afresh from it, so rounding does
-    not build up over the steps.
-
-    In exact arithmetic the method cannot cycle.  In floating point two
-    nearly tied constraints can displace each other forever; the method
-    stops when it meets an active set and chosen constraint it has met
-    before, and leaves the verdict to the certificate in
-    ``project_to_cone``.
-    """
-    A, lamA, L = _independent_pair(cone, b, W)
-    seen = set()
-    for _ in range(20 * cone.m):
-        u, s, terms = (a[0] for a in cone.check(v[None], A, lamA))
-        s[A] = 0.0
-        breach = s < -cone.threshold(_ADD_TOL, _ADD_REL, terms)
-        p = int(np.argmin(np.where(breach, s, np.inf)))
-        state = (p, np.sort(A).tobytes())
-        if not breach.any() or state in seen:
-            lam = np.zeros(cone.m)
-            lam[A] = lamA
-            return lam
-        seen.add(state)
-        lam_p = 0.0
-        while True:
-            w = solve_triangular(L, cone.gram_column(A, p), lower=True)
-            r = solve_triangular(L, w, lower=True, trans="T")
-            z = cone.combine(np.append(A, p), np.append(-r, 1.0))
-            zz = float(z[:-1] @ z[:-1])
-            s_p = float(cone.coef[p] @ u[cone.cols[p]])
-            t2 = np.inf if zz <= _DEPENDENT else -s_p / zz
-            ratios = np.full(A.size + 1, np.inf)
-            pos = r > 0
-            ratios[:-1][pos] = lamA[pos] / r[pos]
-            k = int(np.argmin(ratios))
-            t1 = ratios[k]
-            t = min(t1, t2)
-            if not np.isfinite(t):
-                raise RuntimeError("cone projection: dual step is unbounded")
-            if np.isfinite(t2):
-                u = u + t * z
-            lamA = lamA - t * r
-            lam_p += t
-            if t2 <= t1:
-                q = A.size
-                L_new = np.zeros((q + 1, q + 1))
-                L_new[:q, :q] = L
-                L_new[q, :q] = w
-                L_new[q, q] = np.sqrt(zz)
-                A, L = np.append(A, p), L_new
-                lamA = -cho_solve((L, True), b[A])
-                if lamA.min() < 0:
-                    A, lamA, L = _independent_pair(cone, b, A)
-                break
-            A, lamA = np.delete(A, k), np.delete(lamA, k)
-            L = np.linalg.cholesky(cone.gram(A))
-    raise RuntimeError("cone projection: dual active-set method did not terminate")
+    k = V.shape[0]
+    warm.safeguard_steps += k
+    U, S, terms = cone.check(V, L)
+    scale = cone.threshold(_ADD_TOL, _ADD_REL, terms)
+    pos, added = L > 0, np.zeros(k, dtype=bool)
+    free, D = pos | (S < -scale), -S
+    # the solves may reuse the factor the trials keep, but leave it as it is
+    solves = ProjectionWarmStart(factor=warm.factor)
+    todo = np.arange(k)
+    while todo.size:
+        F = free[todo]
+        d, ok = _newton(cone, S[todo], F, F.ravel().nonzero()[0], solves)
+        if ok is not None:
+            todo, F = todo[ok], F[ok]
+        Dt = np.zeros(F.shape)
+        Dt[F] = d
+        D[todo] = Dt
+        block = F & (Dt < 0) & ~pos[todo]
+        again = block.any(axis=1)
+        todo = todo[again]
+        free[todo] &= ~block[again]
+        for i in todo[~(free[todo] & ~pos[todo]).any(axis=1)]:
+            breach = S[i] / scale[i]
+            if (np.abs(breach[pos[i]]) > 1.0).any():
+                continue
+            if added[i] or breach.min() >= -1.0:
+                todo = todo[todo != i]
+            else:
+                added[i] = True
+                free[i, breach.argmin()] = True
+    new = L.copy()
+    for i in range(k):
+        ratio = np.full(cone.m, np.inf)
+        down = D[i] < 0
+        ratio[down] = L[i, down] / -D[i, down]
+        alphas = np.unique(ratio[(ratio > 0) & (ratio < 1)])
+        if alphas.size > _BREAKPOINTS:
+            pick = np.geomspace(1, alphas.size, _BREAKPOINTS).astype(int) - 1
+            alphas = alphas[np.unique(pick)]
+        SD = cone.combine(D[i][None])[0]
+        line = -(S[i] @ D[i]) / (SD @ SD or 1.0)
+        alphas = np.unique(np.append(alphas, [min(line, 1.0), 1.0]))
+        points = np.maximum(L[i] + alphas[:, None] * D[i], 0.0)
+        points[ratio <= alphas[:, None]] = 0.0
+        SP = cone.combine(points - L[i])
+        dq = np.einsum("ij,ij->i", SP, U[i] + 0.5 * SP)
+        if dq.min() < 0:
+            new[i] = points[dq.argmin()]
+    U, S, terms = cone.check(V, new)
+    return new, (U, S, terms), (new > 0) | _breached(cone, S, terms)
 
 
 def _solve_dual(cone: _Cone, V: np.ndarray, B: np.ndarray,
@@ -550,80 +517,112 @@ def _solve_dual(cone: _Cone, V: np.ndarray, B: np.ndarray,
     """Multipliers of the projections of the rows of V (scaled coordinates,
     one member each) onto the cone; ``B`` is ``S v`` for each row.
 
-    Block active-set Newton steps (the primal-dual active-set method of
-    Hintermueller, Ito and Kunisch 2002) change many constraints at once and
-    converge in a few steps from a good start, here ``warm.active`` for
-    every member.  The members take their steps together (``_newton``); a
-    member leaves the stack once its multipliers are nonnegative and no
-    constraint is breached.  The steps can cycle; a member that repeats a
-    working set, whose factorisation fails or that reaches the step limit
-    goes alone to the Goldfarb-Idnani method, which terminates.
+    One loop minimises each member's dual ``q(lam) = 1/2 ||v + S^T lam||^2``
+    over ``lam >= 0``; every iterate it accepts is dual feasible and lowers
+    q strictly.  Each step solves the block active-set trial on the
+    member's working set (``_newton``, for the whole stack at once), which
+    starts as ``warm.active``, or the rows breached at v when that is empty.
+    A member whose trial is nonnegative and breaches nothing leaves the
+    stack.  Otherwise the clipped trial becomes the iterate if it lowers q,
+    and the next working set is the trial's positive multipliers and the
+    rows it breaches outside the working set.  A member whose trial does
+    not lower q, and whose previous trial did not either, or whose
+    factorisation failed, takes a descent step from its iterate
+    (``_safeguard``) and takes its next working set from there, which
+    breaks any cycle of working sets.  It leaves the stack if that point
+    meets the KKT conditions, or if the step cannot lower q; then its
+    certificate passes it or raises.  A member still in the stack after
+    ``_NEWTON_STEPS`` steps raises ``RuntimeError``.
 
-    Returns the (k, m) multipliers and, for each member solved by a Newton
-    step, that step's ``cone.check`` arrays for the certificate; None after
-    the Goldfarb-Idnani method.
+    Returns the (k, m) multipliers and, for each member, the ``cone.check``
+    arrays of its last point for the certificate.
     """
     k = V.shape[0]
     lam = np.zeros((k, cone.m))
     checks = [None] * k
-    seen = {}
-    # the members still in the stack and their arrays, compacted as
-    # members leave; handoff collects (member, working set)
+    # the members still in the stack, their inputs, iterates, points
+    # u = v + S^T lam and whether their last step accepted no trial,
+    # compacted as members leave
     live, Vl, Bl = np.arange(k), V, B
-    inW = np.zeros((k, cone.m), dtype=bool)
-    inW[:, warm.active] = True
-    handoff = []
-    for _ in range(_NEWTON_STEPS):
-        g = inW.ravel().nonzero()[0]
-        lam_W, ok = _newton(cone, Bl, inW, g, warm)
-        if ok is not None:
-            handoff += zip(live[~ok], inW[~ok])
-            live, Vl, Bl, inW = live[ok], Vl[ok], Bl[ok], inW[ok]
-            if live.size == 0:
-                break
-            g = inW.ravel().nonzero()[0]
-        U, S, terms = cone.check(Vl, g, lam_W)
-        breach = S < -cone.threshold(_ADD_TOL, _ADD_REL, terms)
-        step = np.zeros(inW.shape)
-        step.ravel()[g] = lam_W
-        done = ~breach.any(axis=1)
-        if done.any():
-            done &= step.min(axis=1) >= 0
-        inW = (step > 0) | (breach & ~inW)
-        keep = ~done
-        for i, j in enumerate(live.tolist()):
-            if done[i]:
-                lam[j] = step[i]
-                checks[j] = (U[i].copy(), S[i].copy(), terms[i].copy())
-                continue
-            key = inW[i].tobytes()
-            if key in seen.setdefault(j, set()):
-                handoff.append((j, inW[i]))
-                keep[i] = False
-            seen[j].add(key)
-        if not keep.all():
-            if not keep.any():
-                break
-            live, Vl, Bl, inW = live[keep], Vl[keep], Bl[keep], inW[keep]
+    L, U, stuck = np.zeros((k, cone.m)), V.copy(), np.zeros(k, dtype=bool)
+    if warm.active.size:
+        inW = np.zeros((k, cone.m), dtype=bool)
+        inW[:, warm.active] = True
     else:
-        handoff += zip(live, inW)
-    for j, rows in handoff:
-        warm.gi_handoffs += 1
-        lam[j] = _goldfarb_idnani(cone, V[j], B[j], np.flatnonzero(rows))
-    return lam, checks
+        inW = _breached(cone, B, cone.rounding(V))
+    for _ in range(_NEWTON_STEPS):
+        warm.newton_steps += live.size
+        lam_W, ok = _newton(cone, Bl, inW, inW.ravel().nonzero()[0], warm)
+        trial = np.zeros(inW.shape)
+        trial[inW if ok is None else inW & ok[:, None]] = lam_W
+        Ut, St, terms = cone.check(Vl, trial)
+        breach = _breached(cone, St, terms)
+        done = ~breach.any(axis=1)
+        finished = done.any()
+        if finished:
+            done &= trial.min(axis=1) >= 0
+            for i in done.nonzero()[0]:
+                lam[live[i]] = trial[i]
+                checks[live[i]] = (Ut[i].copy(), St[i].copy(), terms[i].copy())
+            if done.all():
+                return lam, checks
+        # the clipped trial P lowers q if s . D + 1/2 ||S^T D||^2 < 0 for
+        # D = P - lam, with s . D = u . S^T D
+        P = np.maximum(trial, 0.0)
+        SD = cone.combine(P - L)
+        lower = np.einsum("ij,ij->i", SD, U + 0.5 * SD) < 0
+        if finished:
+            lower &= ~done
+        if ok is not None:
+            lower &= ok
+        rule = (trial > 0) | (breach & ~inW)
+        if lower.all():
+            L, inW = P, rule
+            U += SD
+            stuck[:] = False
+            continue
+        safe = stuck & ~(lower | done)
+        if ok is not None:
+            safe |= ~(ok | done)
+        move = ~(safe | done)
+        L[lower] = P[lower]
+        U[lower] += SD[lower]
+        inW[move] = rule[move]
+        stuck = ~lower
+        if safe.any():
+            Ls, (Us, Ss, Ts), inW[safe] = _safeguard(cone, Vl[safe], L[safe], warm)
+            # a member the step cannot move is stationary up to rounding and
+            # leaves for its certificate, which passes or raises
+            kkt = (Ls == L[safe]).all(axis=1)
+            L[safe], U[safe] = Ls, Us
+            slack = np.where(Ls > 0, np.abs(Ss), 0.0)
+            kkt |= ~(_breached(cone, Ss, Ts) | _breached(cone, -slack, Ts)).any(axis=1)
+            for i, j in zip(kkt.nonzero()[0], safe.nonzero()[0][kkt]):
+                lam[live[j]] = L[j]
+                checks[live[j]] = (Us[i].copy(), Ss[i].copy(), Ts[i].copy())
+            done[safe] = kkt
+        if done.any():
+            keep = ~done
+            live, Vl, Bl, inW = live[keep], Vl[keep], Bl[keep], inW[keep]
+            L, U, stuck = L[keep], U[keep], stuck[keep]
+            if live.size == 0:
+                return lam, checks
+    raise RuntimeError(
+        f"cone projection: the dual solve did not converge in {_NEWTON_STEPS} "
+        "steps")
 
 
 def _certify(cone: _Cone, v: np.ndarray, lam: np.ndarray, check):
     """The point of multipliers ``lam`` and its active set, checked against
     the KKT certificate; raises ``RuntimeError`` if it fails.
 
-    The certificate runs on the very u whose x is returned: the last
-    Newton step's (``check``), or recomputed after the Goldfarb-Idnani
-    method.
+    The certificate runs on the very u whose x is returned: the solver's
+    last point (``check``), or one recomputed from ``lam`` when ``check``
+    is None.
     """
     active = (lam > 0).nonzero()[0]
     if check is None:
-        check = [a[0] for a in cone.check(v[None], active, lam[active])]
+        check = [a[0] for a in cone.check(v[None], lam[None])]
     u, s, terms = check
     cert = cone.threshold(_FEAS_TOL, _FEAS_REL, terms)
     breach = float((-s / cert).max())

@@ -49,6 +49,12 @@ BAD_CONFIGS = [
     {"weight": {"floor": 0.05}},
     {"chain": {"band_C": 1.0}},
     {"bridge": {"ridge": 1e-8}},
+    # the triad needs a maturity on either side of its center, and the
+    # Nystrom rank lies between 1 and the number of strikes
+    {"bridge": {"triad_center": 0}},
+    {"bridge": {"triad_center": 10}},
+    {"bridge": {"rank": 0}},
+    {"bridge": {"rank": 40}},
 ]
 
 
@@ -202,9 +208,9 @@ def test_cli_single_stage_is_timed(capsys):
     rc = cli_main(["gate"])
     assert rc == 0
     meta = json.loads(capsys.readouterr().out)["meta"]
+    counters = ("calls", "newton_steps", "factor_reuses", "safeguard_steps")
     assert set(meta) == {"wall_generate", "wall_fit", "wall_project",
-                         "wall_gate", "proj_certificates_calls",
-                         "proj_certificates_newton_steps",
-                         "proj_certificates_factor_reuses",
-                         "proj_certificates_gi_handoffs"}
+                         "wall_gate"} | {f"proj_{sequence}_{name}"
+                                         for sequence in ("certificates", "project")
+                                         for name in counters}
     assert all(t >= 0 for t in meta.values())

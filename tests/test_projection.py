@@ -482,47 +482,89 @@ def test_stacked_member_that_fails_its_certificate_raises(
                                 grid=grid21x11)
 
 
-def test_stacked_member_that_cycles_goes_to_goldfarb_idnani(
+def test_stacked_member_whose_trial_stalls_takes_the_safeguard(
         monkeypatch, grid21x11, weight21x11, bs_surface_21x11):
-    # Zero multipliers keep one member's point at its input, so its working
-    # set alternates between its breached rows and the complement and
-    # repeats; it must leave the stack for the Goldfarb-Idnani method and
-    # still come back certified and equal to its single projection.
+    # Zeroed trial multipliers never lower the dual objective of one member,
+    # so only the safeguard step, whose own solves are left alone, moves it;
+    # the member must still come back certified and equal to its single
+    # projection.
     import arbsurf.projection as projection
     g, w = grid21x11, weight21x11
-    target = []
-    newton, gi = projection._newton, projection._goldfarb_idnani
-    handed, steps = [], []
+    target, inside, steps = [], [], []
+    newton, safeguard = projection._newton, projection._safeguard
 
     def stalled_newton(cone, B, inW, rows, warm):
         lam_W, ok = newton(cone, B, inW, rows, warm)
         if len(B) > 1 and not target:
             target.append(B[0].copy())
         hit = [i for i in range(len(B)) if target and np.array_equal(B[i], target[0])]
-        steps.append(bool(hit))
-        if hit and ok is None:
+        if hit and ok is None and not inside:
+            steps.append(1)
             lam_W = np.where(rows // cone.m == hit[0], 0.0, lam_W)
         return lam_W, ok
 
-    def spy_gi(cone, v, b, W):
-        handed.append(b.copy())
-        return gi(cone, v, b, W)
+    def spy_safeguard(cone, V, L, warm):
+        inside.append(True)
+        try:
+            return safeguard(cone, V, L, warm)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(projection, "_newton", stalled_newton)
-    monkeypatch.setattr(projection, "_goldfarb_idnani", spy_gi)
+    monkeypatch.setattr(projection, "_safeguard", spy_safeguard)
     calls = _record_stacks(monkeypatch)
     noisy = bs_surface_21x11 + 0.25 * np.random.default_rng(22).standard_normal(g.shape)
     certs = projection_certificates(np.maximum(noisy, 0.0), w, trials=8, grid=g)
-    assert any(np.array_equal(b, target[0]) for b in handed)
-    assert certs.projections["gi_handoffs"] >= 1
-    # it left on the repeat, long before the step limit
-    assert 0 < sum(steps) < projection._NEWTON_STEPS
+    # the stalled member is the first of the first stack; its first trial
+    # only moves the working set on, and every later one is followed by a
+    # safeguard step
+    assert len(steps) >= 2
+    assert certs.projections["safeguard_steps"] >= len(steps) - 1
+    monkeypatch.setattr(projection, "_newton", newton)
     for X, out in calls[1:]:
         for x, y in zip(X, out):
             ref = project_to_cone(x.reshape(g.shape), w, grid=g).values
             got = np.maximum(y.reshape(g.shape), 0.0)
             assert weighted_norm(got - ref, w, g) <= 1e-12 * weighted_norm(ref, w, g)
             assert feasibility_violation(got, g) <= 1e-10
+
+
+def test_cold_projection_at_121x21_is_fast():
+    # a cold projection of the default noisy market at 121x21 took 34 s
+    # when cycling members went to a dense dual active-set method
+    import time
+    from arbsurf.pipeline import PipelineContext
+    ctx = PipelineContext({"grid": {"n_strikes": 121, "n_maturities": 21}})
+    ctx.stage_generate()
+    warm = ProjectionWarmStart()
+    t0 = time.perf_counter()
+    out = project_to_cone(ctx.art["noisy"], ctx.art["weight"], warm=warm)
+    assert time.perf_counter() - t0 < 10.0
+    assert feasibility_violation(out.values, ctx.art["grid"]) <= 1e-10
+    assert warm.calls == 1
+
+
+@pytest.mark.parametrize("case", [2, 21, 39])
+def test_degenerate_cold_projection_certifies(case):
+    # random 3N(0,1)+20 surfaces on 61 strikes under weights spread over a
+    # factor e^5: at the projection more constraints are active than the
+    # grid has nodes, so the dual has many solutions and the active-set
+    # trials stall; the safeguard steps must still reach a certified point,
+    # well before the step limit
+    import arbsurf.projection as projection
+    rng = np.random.default_rng(20261018)
+    for _ in range(case + 1):
+        nt = int(rng.integers(11, 16))
+        g = Grid2D(np.linspace(80.0, 120.0, 61), np.linspace(0.1, 1.1, nt))
+        w = np.exp(rng.uniform(0.0, 5.0, g.shape))
+        w /= w.mean()
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        C = (3.0 * rng.standard_normal(g.shape) + 20.0) * scale
+    warm = ProjectionWarmStart()
+    x = project_to_cone(C, WeightField(w), grid=g, warm=warm).values
+    assert feasibility_violation(x, g) <= 1e-10 * max(1.0, scale)
+    assert warm.safeguard_steps >= 1
+    assert warm.factor_reuses <= warm.newton_steps < projection._NEWTON_STEPS // 4
 
 
 def _stack_of_members(g, w, base, k, seed):
