@@ -99,8 +99,9 @@ class TriMarginalProblem:
                 raise ValueError(f"{name} must sum to 1")
             setattr(self, name, m)
         eps = np.asarray(self.epsilon_schedule, dtype=float)
-        if np.any(eps <= 0) or (eps.size > 1 and np.any(np.diff(eps) >= 0)):
-            raise ValueError("epsilon_schedule must be strictly decreasing and positive")
+        if eps.size == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
+            raise ValueError("epsilon_schedule must be nonempty, strictly decreasing "
+                             "and positive")
         self.epsilon_schedule = tuple(eps.tolist())
         if self.feature_kind not in ("dense", "nystrom"):
             raise ValueError("feature_kind must be dense or nystrom")
@@ -130,15 +131,18 @@ class StageKernels:
     eps: float
     logK12: np.ndarray
     logK23: np.ndarray
-    phi2: np.ndarray            # whitened middle factor (identity-diagonal Gram)
-    factors: dict
-    delta: float
 
 
 @dataclass
 class BridgeKernels:
+    """Log-kernels of every annealing stage, and the final stage's whitened
+    middle factor ``phi2`` (identity-diagonal Gram) and low-rank error proxy
+    ``delta``, which the certificates read."""
+
     stages: list
     problem: TriMarginalProblem
+    phi2: np.ndarray
+    delta: float
 
     def stage(self, eps: float) -> StageKernels:
         for st in self.stages:
@@ -151,23 +155,18 @@ class BridgeKernels:
         return self.stages[-1]
 
 
-def _whiten_factor(phi: np.ndarray):
-    """Scale by the top singular value's square root, clip the tiny spectrum.
-
-    Returns (phi_hat, log_scale, phi_ortho) with
-    phi_hat @ phi_hat.T * exp(log_scale) reconstructing phi @ phi.T after the
-    1e-10 relative spectrum clip; phi_ortho has an identity-diagonal Gram.
-    """
+def _whiten_factor(phi: np.ndarray) -> np.ndarray:
+    """Orthonormal polar factor ``U @ Vt`` of phi after clipping its
+    singular values below 1e-10 of the largest: the whitened factor, with an
+    identity-diagonal Gram."""
     U, s, Vt = np.linalg.svd(phi, full_matrices=False)
     keep = s >= 1e-10 * s[0] if s.size else slice(None)
-    U, s, Vt = U[:, keep], s[keep], Vt[keep]
-    phi_hat = (U * s) @ Vt / np.sqrt(s[0])
-    return phi_hat, float(np.log(s[0])), U @ Vt
+    return U[:, keep] @ Vt[keep]
 
 
 def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
-    """Gibbs kernels per annealing stage, with whitened factors and low-rank
-    error proxies.
+    """Gibbs kernels per annealing stage, and the final stage's whitened
+    factor and low-rank error proxy.
 
     Dense mode stores exact log-kernels -c/eps.  Nystrom mode (evenly spaced
     landmark columns) materializes the rank-limited kernel (memory stays
@@ -177,43 +176,36 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
     """
     n = problem.n
     c12, c23 = problem.cost_matrices()
+    schedule = problem.epsilon_schedule
+    if problem.feature_kind == "dense" or n == 1:
+        stages = [StageKernels(eps, -c12 / eps, -c23 / eps) for eps in schedule]
+        U, s, Vt = np.linalg.svd(np.exp(-c12 / schedule[-1]))
+        keep = s >= 1e-10 * s[0]
+        phi2 = _whiten_factor(Vt[keep].T * np.sqrt(s[keep]))
+        return BridgeKernels(stages=stages, problem=problem, phi2=phi2, delta=0.0)
     rank = n if problem.rank is None else problem.rank
+    idx = np.unique(np.linspace(0, n - 1, rank).round().astype(int))
     stages = []
-    for eps in problem.epsilon_schedule:
+    for eps in schedule:
         K12 = np.exp(-c12 / eps)
         K23 = np.exp(-c23 / eps)
-        if problem.feature_kind == "dense" or n == 1:
-            logK12, logK23 = -c12 / eps, -c23 / eps
-            U, s, Vt = np.linalg.svd(K12)
-            keep = s >= 1e-10 * s[0]
-            phi2 = (Vt[keep].T * np.sqrt(s[keep]))
-            _, _, phi2_on = _whiten_factor(phi2)
-            factors = {"kind": "dense"}
-            delta = 0.0
-        else:  # nystrom
-            idx = np.unique(np.linspace(0, n - 1, rank).round().astype(int))
-            C12, W12 = K12[:, idx], K12[np.ix_(idx, idx)]
-            C23, W23 = K23[:, idx], K23[np.ix_(idx, idx)]
-            lam12, V12 = np.linalg.eigh(W12)
-            lam23, V23 = np.linalg.eigh(W23)
-            lam12 = np.maximum(lam12, 1e-12 * lam12.max())
-            lam23 = np.maximum(lam23, 1e-12 * lam23.max())
-            phi12 = C12 @ V12 / np.sqrt(lam12)[None, :]
-            phi23 = C23 @ V23 / np.sqrt(lam23)[None, :]
-            K12_hat = phi12 @ phi12.T
-            K23_hat = phi23 @ phi23.T
-            delta = max(weighted_operator_norm(K12 - K12_hat, np.ones(n), n_iter=120),
-                        weighted_operator_norm(K23 - K23_hat, np.ones(n), n_iter=120))
-            phi12_hat, ls12, phi12_on = _whiten_factor(phi12)
-            logK12 = np.log(np.maximum(K12_hat, 1e-300))
-            logK23 = np.log(np.maximum(K23_hat, 1e-300))
-            phi2_on = phi12_on
-            factors = {"kind": "nystrom", "phi12": phi12_hat,
-                       "log_scale12": ls12, "landmarks": idx}
-        stages.append(StageKernels(eps=eps, logK12=logK12, logK23=logK23,
-                                   phi2=phi2_on, factors=factors,
-                                   delta=float(delta)))
-    return BridgeKernels(stages=stages, problem=problem)
+        C12, W12 = K12[:, idx], K12[np.ix_(idx, idx)]
+        C23, W23 = K23[:, idx], K23[np.ix_(idx, idx)]
+        lam12, V12 = np.linalg.eigh(W12)
+        lam23, V23 = np.linalg.eigh(W23)
+        lam12 = np.maximum(lam12, 1e-12 * lam12.max())
+        lam23 = np.maximum(lam23, 1e-12 * lam23.max())
+        phi12 = C12 @ V12 / np.sqrt(lam12)[None, :]
+        phi23 = C23 @ V23 / np.sqrt(lam23)[None, :]
+        K12_hat = phi12 @ phi12.T
+        K23_hat = phi23 @ phi23.T
+        stages.append(StageKernels(eps, np.log(np.maximum(K12_hat, 1e-300)),
+                                   np.log(np.maximum(K23_hat, 1e-300))))
+    # the loop leaves the final stage's kernels and factor
+    delta = max(weighted_operator_norm(K12 - K12_hat, np.ones(n), n_iter=120),
+                weighted_operator_norm(K23 - K23_hat, np.ones(n), n_iter=120))
+    return BridgeKernels(stages=stages, problem=problem, phi2=_whiten_factor(phi12),
+                         delta=float(delta))
 
 
 @dataclass
@@ -227,7 +219,6 @@ class BridgeState:
     epsilon: float
     residual_trace: list = field(default_factory=list)
     stage_traces: list = field(default_factory=list)
-    dual_trace: list = field(default_factory=list)
     damping: float = 1.0
     fallbacks_taken: list = field(default_factory=list)
     converged: bool = True
@@ -417,7 +408,6 @@ def tri_sinkhorn(problem: TriMarginalProblem,
             state.eta += _eta_newton(problem, st, state)
             comps, _ = _residual_tuple(problem, st, state, conv_components)
             trace.append(comps)
-            state.dual_trace.append(dual_value(state, problem, kernels, st=st))
             res = comps[4]
             if len(trace) >= 2:
                 if res > trace[-2][4]:
@@ -514,8 +504,7 @@ def certify(state: BridgeState, problem: TriMarginalProblem,
     r_geo = float(np.median(tail))
     iqr = (float(np.quantile(tail, 0.10)), float(np.quantile(tail, 0.90)))
 
-    st = kernels.final
-    phi2 = st.phi2
+    phi2 = kernels.phi2
     G = (phi2.T * problem.m1) @ phi2 + (phi2.T * problem.m3) @ phi2
     G = G + ridge * np.eye(G.shape[0])
     mu_hat = max(float(np.linalg.eigvalsh(G)[0]), MU_HAT_FLOOR)
@@ -529,7 +518,7 @@ def certify(state: BridgeState, problem: TriMarginalProblem,
         iterations=len(state.residual_trace),
         epsilon_final=kernels.final.eps,
         ratio_iqr=iqr,
-        delta_lowrank=st.delta,
+        delta_lowrank=kernels.delta,
         fallbacks_taken=tuple(state.fallbacks_taken),
         converged=state.converged,
     )

@@ -245,6 +245,12 @@ class ReluNet:
 _OTHER_CORNERS = np.array([[1, 2], [0, 2], [0, 1]])
 
 
+def _interleave(a: np.ndarray, b: np.ndarray, with_b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ... with b[i] only where with_b[i]."""
+    keep = np.column_stack([np.ones(a.size, dtype=bool), with_b]).ravel()
+    return np.column_stack([a, b]).ravel()[keep]
+
+
 def compile_to_relu(f: CpwlFunction, d_max: int = 8, c3: float = 2.0) -> ReluNet:
     """Exact depth-<=4 ReLU realization of a CPWL function.
 
@@ -271,60 +277,51 @@ def compile_to_relu(f: CpwlFunction, d_max: int = 8, c3: float = 2.0) -> ReluNet
     A[:, 1:, :2] = f.vertices[others]
     sol = np.linalg.solve(A, np.array([1.0, 0.0, 0.0]))
     # vertex v's forms are rows bounds[v] to bounds[v + 1] - 1
-    bounds = np.searchsorted(vert, np.arange(V + 1)).tolist()
+    bounds = np.searchsorted(vert, np.arange(V + 1))
     W1 = sparse.csr_matrix(sol[:, :2])
     layers = [_Layer(W1, sol[:, 2].copy(), np.zeros(order.size, dtype=bool))]
 
-    # Comparator rounds: each virtual value is a sparse combo of current units.
-    # min(u, v) = u - relu(u - v); the subtraction is deferred to the next
-    # layer's affine rows so each round stays a single affine+relu block.
-    virtual = [[{j: 1.0} for j in range(bounds[v], bounds[v + 1])]
-               for v in range(V)]
+    # Comparator rounds.  Each virtual value is a combination of the current
+    # layer's units, held as a slice of two flat arrays: value i is the sum
+    # of coef[j] * unit[j] over j in ptr[i]:ptr[i + 1], and vertex v's values
+    # are vstart[v] to vstart[v + 1] - 1.  min(a, b) = a - relu(a - b); the
+    # subtraction is deferred to the next layer's affine rows so each round
+    # stays a single affine+relu block.  A round emits one unit per value:
+    # a pair (i, i + 1) of one vertex gives unit i = relu(value i - value
+    # i + 1) and unit i + 1 = value i, whose next value is unit i + 1 - unit
+    # i; a vertex's odd last value i is copied to unit i, the next value.
+    n = order.size
+    unit, coef, ptr = np.arange(n), np.ones(n), np.arange(n + 1)
+    vstart = bounds
     n_rounds = max(1, int(np.ceil(np.log2(max_deg)))) if max_deg > 1 else 0
     for _ in range(n_rounds):
-        coo_r, coo_c, coo_v, bias, relu = [], [], [], [], []
-        new_virtual = []
-
-        def emit(combo, is_relu):
-            idx = len(bias)
-            for c, w in combo.items():
-                coo_r.append(idx)
-                coo_c.append(c)
-                coo_v.append(w)
-            bias.append(0.0)
-            relu.append(is_relu)
-            return idx
-
-        for v in range(V):
-            vals = virtual[v]
-            nxt = []
-            for k in range(0, len(vals) - 1, 2):
-                u_c, v_c = vals[k], vals[k + 1]
-                diff = dict(u_c)
-                for c, w in v_c.items():
-                    diff[c] = diff.get(c, 0.0) - w
-                d_id = emit(diff, True)
-                c_id = emit(u_c, False)
-                nxt.append({c_id: 1.0, d_id: -1.0})
-            if len(vals) % 2 == 1:
-                w_id = emit(vals[-1], False)
-                nxt.append({w_id: 1.0})
-            new_virtual.append(nxt)
-        n_prev = layers[-1].W.shape[0]
-        W = sparse.csr_matrix((coo_v, (coo_r, coo_c)), shape=(len(bias), n_prev))
-        layers.append(_Layer(W, np.asarray(bias), np.asarray(relu, dtype=bool)))
-        virtual = new_virtual
+        idx = np.arange(n)
+        count = np.diff(vstart)
+        local = idx - np.repeat(vstart[:-1], count)
+        odd = local % 2 == 1
+        opens = ~odd & (local + 1 < np.repeat(count, count))
+        # unit i: value i (value i - 1 for a pair's second), minus value
+        # i + 1 for a pair's first
+        src = _interleave(idx - odd, idx + 1, opens)
+        sign = _interleave(np.ones(n), -np.ones(n), opens)
+        # the terms of those values, slice after slice
+        lens = ptr[src + 1] - ptr[src]
+        terms = np.repeat(ptr[src] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        rows = np.repeat(np.repeat(idx, 1 + opens), lens)
+        W = sparse.csr_matrix((coef[terms] * np.repeat(sign, lens), (rows, unit[terms])),
+                              shape=(n, layers[-1].W.shape[0]))
+        layers.append(_Layer(W, np.zeros(n), opens))
+        first, pair = idx[~odd], opens[~odd]
+        unit = _interleave(first + pair, first, pair)
+        coef = _interleave(np.ones(first.size), -np.ones(first.size), pair)
+        ptr = np.concatenate([[0], np.cumsum(1 + pair)])
+        vstart = np.concatenate([[0], np.cumsum((count + 1) // 2)])
+        n = first.size
 
     # Hat layer: phi_v = relu(m_v); the zero comparison is this last level.
-    coo_r, coo_c, coo_v = [], [], []
-    for v in range(V):
-        assert len(virtual[v]) == 1
-        for c, w in virtual[v][0].items():
-            coo_r.append(v)
-            coo_c.append(c)
-            coo_v.append(w)
-    n_prev = layers[-1].W.shape[0]
-    W_hat = sparse.csr_matrix((coo_v, (coo_r, coo_c)), shape=(V, n_prev))
+    assert np.array_equal(vstart, np.arange(V + 1))
+    rows = np.repeat(np.arange(V), np.diff(ptr))
+    W_hat = sparse.csr_matrix((coef, (rows, unit)), shape=(V, layers[-1].W.shape[0]))
     layers.append(_Layer(W_hat, np.zeros(V), np.ones(V, dtype=bool)))
 
     # Affine readout.

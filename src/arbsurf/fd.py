@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import AdmissibilityReport, Grid2D, WeightField, _as_values
+from .grid import (AdmissibilityReport, Grid2D, WeightField, _as_values,
+                   _ls_derivative_row)
 
 __all__ = [
     "FdConfig",
@@ -58,17 +59,6 @@ class DupireField:
     clipped_mask: np.ndarray
     floored_mask: np.ndarray
     grid: Grid2D
-
-
-def _ls_derivative_row(t: np.ndarray, degree: int, order: int) -> np.ndarray:
-    """Stencil row: ``order``-th derivative at t=0 of the degree-LS fit."""
-    V = np.vander(t, degree + 1, increasing=True)
-    P = np.linalg.pinv(V)
-    if order == 1:
-        return P[1]
-    if order == 2:
-        return 2.0 * P[2]
-    raise ValueError("order must be 1 or 2")
 
 
 def dkk_matrix(strikes: np.ndarray, window: int = 5) -> np.ndarray:

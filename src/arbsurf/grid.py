@@ -81,8 +81,8 @@ class Grid2D:
 
     @cached_property
     def _stencils(self) -> dict:
-        """Finite-difference stencils of this grid by window, filled by
-        ``fd``."""
+        """Stencil matrices of this grid, read-only: ``fd``'s by window pair,
+        ``check_mesh_admissibility``'s by axis and window."""
         return {}
 
 
@@ -126,6 +126,15 @@ class Surface:
         if self.is_price and np.any(values < 0):
             raise ValueError("price surface values must be nonnegative")
         self.values = values
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, grid: Grid2D) -> "Surface":
+        """A price surface of values its maker already holds to be a finite,
+        nonnegative float array of the grid's shape, built without checking
+        them again."""
+        surface = cls.__new__(cls)
+        surface.values, surface.grid, surface.is_price = values, grid, True
+        return surface
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -207,21 +216,35 @@ class AdmissibilityReport:
     reason: str = ""
 
 
-def _local_quadratic_second_derivative(y: np.ndarray, x: np.ndarray, window: int) -> np.ndarray:
-    """Second derivative of a windowed quadratic LS fit, window shifted inward at edges."""
+def _ls_derivative_row(t: np.ndarray, degree: int, order: int) -> np.ndarray:
+    """Stencil row: ``order``-th derivative at t=0 of the degree-LS fit."""
+    V = np.vander(t, degree + 1, increasing=True)
+    P = np.linalg.pinv(V)
+    if order == 1:
+        return P[1]
+    if order == 2:
+        return 2.0 * P[2]
+    raise ValueError("order must be 1 or 2")
+
+
+def _curvature_stencil(grid: Grid2D, axis: str, window: int) -> np.ndarray:
+    """Row operator of the second derivative of a quadratic LS fit on each
+    node's ``window`` nodes along ``axis`` ("strikes" or "maturities"), the
+    window shifted inward at the edges; built once per grid, read-only."""
+    x = getattr(grid, axis)
     n = x.size
     window = min(window, n)
     if window < 3:
         raise ValueError("need at least 3 nodes per axis for local quadratic fits")
-    out = np.empty(n)
-    half = window // 2
-    for i in range(n):
-        lo = min(max(i - half, 0), n - window)
-        sl = slice(lo, lo + window)
-        t = x[sl] - x[i]
-        coef = np.polynomial.polynomial.polyfit(t, y[sl], 2)
-        out[i] = 2.0 * coef[2]
-    return out
+    S = grid._stencils.get((axis, window))
+    if S is None:
+        S = np.zeros((n, n))
+        for i in range(n):
+            lo = min(max(i - window // 2, 0), n - window)
+            S[i, lo:lo + window] = _ls_derivative_row(x[lo:lo + window] - x[i], 2, 2)
+        S.flags.writeable = False
+        grid._stencils[(axis, window)] = S
+    return S
 
 
 def check_mesh_admissibility(C: Surface, grid: Grid2D, c1: float = 1.0,
@@ -241,14 +264,9 @@ def check_mesh_admissibility(C: Surface, grid: Grid2D, c1: float = 1.0,
     if n_K < 3 or n_tau < 3:
         raise ValueError("too few nodes for local quadratic fits")
 
-    curv_K = np.empty_like(values)
-    for i in range(n_tau):
-        curv_K[i] = _local_quadratic_second_derivative(values[i], grid.strikes, window)
-    curv_tau = np.empty_like(values)
-    for j in range(n_K):
-        curv_tau[:, j] = _local_quadratic_second_derivative(
-            values[:, j], grid.maturities, min(window, n_tau if n_tau % 2 else n_tau - 1)
-        )
+    curv_K = values @ _curvature_stencil(grid, "strikes", window).T
+    curv_tau = _curvature_stencil(
+        grid, "maturities", min(window, n_tau if n_tau % 2 else n_tau - 1)) @ values
 
     env_K = float(np.quantile(np.abs(curv_K), quantile))
     env_tau = float(np.quantile(np.abs(curv_tau), quantile))

@@ -74,10 +74,15 @@ _NEWTON_STEPS = 5000
 # geometrically in rank so that the first few are all tried
 _BREAKPOINTS = 32
 # members per stacked solve in projection_certificates, even so that each
-# perturbation pair lies in one stack.  At 31x11 the stacked Gram band of 16
-# members takes about 0.5 MB; larger stacks solve hardly faster and raise
-# the process's peak memory by the larger transient arrays
-_STACK = 16
+# perturbation pair lies in one stack.  The stack's transient arrays set
+# the process's memory high-water mark, and the largest are gram_band's: at
+# 31x11 a 16-member working set of 3254 rows has a band of 23 x 3254
+# doubles (0.6 MB) and int64 index arrays (nbr, d, i, j) of 0.2 MB each,
+# 1.4 MB above the step and 2.6 MB for the 400-member certificate
+# (tracemalloc).  8 members halve that with no time difference the 2-core
+# Xeon resolves (certificate time ratio 8/16 of 0.85-1.2 per run over the
+# 5 ref31 markets); stacks of 4 were 18-46% slower
+_STACK = 8
 # C3 gate: the empirical Lipschitz ratio of the projection may exceed 1 by
 # no more than rounding and the 1% perturbation scale allow
 LIP_PASS = 1.01
@@ -698,7 +703,9 @@ def project_to_cone(C, w: WeightField, grid: Grid2D | None = None,
         (x,), (active,) = _project_stack(cone, values.reshape(1, -1), warm)
         if active is not None:
             warm.active = active
-    return Surface(np.maximum(x.reshape(values.shape), 0.0), grid)
+    # x is the checked input or passed its certificate, which no non-finite
+    # point passes
+    return Surface._trusted(np.maximum(x.reshape(values.shape), 0.0), grid)
 
 
 def projection_certificates(C_raw, w: WeightField,
@@ -720,6 +727,9 @@ def projection_certificates(C_raw, w: WeightField,
     (the Newton steps of a stack share each factorisation, and its first
     step, on the common working set, shares one factor), each certified on
     its own, and each is returned through its own ``project_to_cone`` call.
+    The members do not couple (the stack's Gram matrix is block diagonal),
+    so the stack size bounds the solver's transient memory (see ``_STACK``)
+    and leaves the results as they are.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

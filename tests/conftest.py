@@ -45,3 +45,18 @@ def weight21x11(grid21x11):
 def bs_surface_21x11(grid21x11):
     K, T = np.meshgrid(grid21x11.strikes, grid21x11.maturities)
     return bs_call(100.0, K, T, 0.2)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced above the start while ``fn`` runs, in a fresh
+    tracemalloc session."""
+    import tracemalloc
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc already traces this process")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

@@ -5,6 +5,8 @@ import pytest
 
 from arbsurf.cpwl import (EVAL_BLOCK_ROWS, CpwlFunction, compile_to_relu,
                           triangulate_tensor_grid)
+from conftest import traced_peak
+from tests_oracle_helpers import dict_compile_to_relu
 
 
 def _random_grid_cpwl(n, seed=0, lo=0.0, hi=1.0):
@@ -179,3 +181,57 @@ def test_relu_net_json_roundtrip():
     assert len(doc["layers"]) == len(net.layers)
     for layer in doc["layers"]:
         assert {"shape", "weights", "bias", "relu"} <= set(layer)
+
+
+def _fan(k, seed):
+    # a hub of valence k inside a ring of k spokes, random nodal values
+    angles = np.linspace(0, 2 * np.pi, k, endpoint=False)
+    verts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
+    tris = np.array([[0, 1 + i, 1 + (i + 1) % k] for i in range(k)])
+    return CpwlFunction(verts, tris, np.random.default_rng(seed).standard_normal(k + 1))
+
+
+def _tensor(nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(0, 3, nx)) if seed % 2 else np.linspace(80, 120, nx)
+    ys = np.sort(rng.uniform(0, 1, ny)) if seed % 2 else np.linspace(0.1, 1.1, ny)
+    return triangulate_tensor_grid(xs, ys, rng.standard_normal((ny, nx)))
+
+
+_REFERENCE_MESHES = {
+    **{f"{nx}x{ny}": (lambda nx=nx, ny=ny: _tensor(nx, ny, 0))
+       for nx, ny in [(31, 11), (61, 11), (5, 7), (17, 17)]},
+    **{f"random {seed}": (lambda seed=seed: _tensor(*np.random.default_rng(seed).integers(
+        2, 24, 2), 2 * seed + 1)) for seed in range(4)},
+    **{f"fan {k}": (lambda k=k: _fan(k, k)) for k in range(3, 9)},
+    "one triangle": lambda: CpwlFunction(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                                         np.array([[0, 1, 2]]), np.array([1.0, -2.0, 3.0])),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(_REFERENCE_MESHES))
+def test_compiler_matches_its_dict_reference(mesh):
+    # the array-built comparator rounds and hat layer against the per-unit
+    # dict compiler they replace: the same CSR arrays (entry order and index
+    # dtype included), biases, relu flags, counts and JSON
+    f = _REFERENCE_MESHES[mesh]()
+    got, ref = compile_to_relu(f), dict_compile_to_relu(f)
+    assert len(got.layers) == len(ref.layers)
+    for a, b in zip(got.layers, ref.layers):
+        assert a.W.shape == b.W.shape
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(a.W, name), getattr(b.W, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in ((a.b, b.b), (a.relu, b.relu)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert (got.depth, got.param_count, got.constants) == \
+        (ref.depth, ref.param_count, ref.constants)
+    assert got.to_json() == ref.to_json()
+
+
+def test_compile_peak_memory_stays_under_its_guard():
+    # the level-4 sparse-grid mesh (17 x 17 nodes, 1536 barycentric forms)
+    # peaked at 0.53-0.55 MB (1.10 MB with the per-unit dict compiler)
+    f = triangulate_tensor_grid(np.linspace(80, 120, 17), np.linspace(0.1, 1.1, 17),
+                                np.random.default_rng(3).standard_normal((17, 17)))
+    assert traced_peak(compile_to_relu, f) <= 0.7e6

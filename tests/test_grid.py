@@ -139,6 +139,46 @@ def test_admissibility_quadratic_pass():
     assert report.envelope_K == pytest.approx(20.0, rel=1e-6)
 
 
+def _polyfit_curvature(y, x, window):
+    # the per-node loop the stencils replace: the second derivative of a
+    # quadratic polyfit on the node's window, shifted inward at the edges
+    n = x.size
+    window = min(window, n)
+    out = np.empty(n)
+    for i in range(n):
+        lo = min(max(i - window // 2, 0), n - window)
+        coef = np.polynomial.polynomial.polyfit(x[lo:lo + window] - x[i],
+                                                y[lo:lo + window], 2)
+        out[i] = 2.0 * coef[2]
+    return out
+
+
+@pytest.mark.parametrize("shape, window", [((11, 31), 5), ((21, 11), 5),
+                                           ((6, 9), 7), ((4, 3), 3)])
+def test_curvature_stencils_match_polyfit_loop(shape, window):
+    from arbsurf.grid import _curvature_stencil
+    rng = np.random.default_rng(sum(shape) + window)
+    n_tau, n_K = shape
+    g = Grid2D(np.sort(rng.uniform(80, 120, n_K)), np.sort(rng.uniform(0.1, 1.1, n_tau)))
+    K, T = np.meshgrid(g.strikes, g.maturities)
+    values = np.maximum(100.0 - K, 0.0) * T + rng.standard_normal(shape)
+    w_tau = min(window, n_tau if n_tau % 2 else n_tau - 1)
+    SK = _curvature_stencil(g, "strikes", window)
+    ST = _curvature_stencil(g, "maturities", w_tau)
+    ref_K = np.array([_polyfit_curvature(row, g.strikes, window) for row in values])
+    ref_T = np.array([_polyfit_curvature(col, g.maturities, w_tau)
+                      for col in values.T]).T
+    for got, ref in ((values @ SK.T, ref_K), (ST @ values, ref_T)):
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # built once per grid, axis and window, and read-only
+    assert _curvature_stencil(g, "strikes", window) is SK
+    with pytest.raises(ValueError):
+        SK[0, 0] = 1.0
+    report = check_mesh_admissibility(Surface(values, g, is_price=False), g,
+                                      window=window)
+    assert report.envelope_K == np.quantile(np.abs(values @ SK.T), 0.10)
+
+
 def test_admissibility_degenerate_mesh_errors():
     with pytest.raises(ValueError):
         Grid2D(np.array([0.0, 1.0]), np.array([0.1, 0.2]))

@@ -12,7 +12,7 @@ from arbsurf.projection import (ProjectionWarmStart, _second_difference_matrix,
                                 feasibility_violation, pav_isotonic,
                                 project_to_cone, projection_certificates)
 
-from conftest import bs_call
+from conftest import bs_call, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -607,3 +607,38 @@ def test_stacked_newton_step_matches_single_steps(
                                            ProjectionWarmStart())
             np.testing.assert_allclose(lam[rows // cone.m == i], single, rtol=0,
                                        atol=1e-12 * np.abs(single).max())
+
+
+def test_certificates_do_not_depend_on_the_stack_size(
+        monkeypatch, grid21x11, weight21x11, bs_surface_21x11):
+    # 2 * _STACK - 3 pairs: a member count neither _STACK nor 2 * _STACK
+    # divides, so both runs end on a partial stack
+    import arbsurf.projection as projection
+    trials = 2 * projection._STACK - 3
+    base = np.maximum(bs_surface_21x11 + 0.25 * np.random.default_rng(30).standard_normal(
+        grid21x11.shape), 0.0)
+    runs = []
+    for size in (projection._STACK, 2 * projection._STACK):
+        monkeypatch.setattr(projection, "_STACK", size)
+        runs.append(projection_certificates(base, weight21x11, trials=trials,
+                                            rng_seed=4, grid=grid21x11))
+    a, b = runs
+    assert a.lip_emp == b.lip_emp
+    assert np.array_equal(a.dup_tv_path, b.dup_tv_path)
+    assert a.projections["newton_steps"] == b.projections["newton_steps"]
+    assert a.projections["calls"] == b.projections["calls"] == 2 * trials + 1
+
+
+def test_certificate_peak_memory_stays_under_its_guard():
+    # the C3 certificate of the default market: 400 members in stacks of 8
+    # peaked at 1.34 MB (2.59 MB in stacks of 16), set by the stacked Gram
+    # band and its index arrays
+    from arbsurf.pipeline import PipelineContext
+    ctx = PipelineContext()
+    ctx.stage_generate()
+    pc = ctx.config["projection"]
+    noisy, w = ctx.art["noisy"], ctx.art["weight"]
+    project_to_cone(noisy, w)  # the cone is cached, not counted below
+    peak = traced_peak(projection_certificates, noisy, w, trials=pc["lip_trials"],
+                       path_steps=pc["path_steps"], rng_seed=ctx._seed("lip-pairs"))
+    assert peak <= 1.7e6
