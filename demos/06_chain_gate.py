@@ -2,18 +2,26 @@
 
 Tracks the chain MMD^2 across growing sample sizes for identically
 distributed maturity slices and prints the gate verdict with its bands.
+As in the pipeline's chain gate, each slice is a cloud of strike atoms
+drawn from one discrete density, and the MMD^2 is computed exactly from
+the atom counts.
 """
 
 import numpy as np
 
-from arbsurf import ChainSeries, chain_energy, gate_v2
+from arbsurf import ChainSeries, gate_v2, sample_clouds
+from arbsurf.chainstats import atom_counts, chain_energy_counts
 
-rng = np.random.default_rng(12)
+atoms = np.linspace(0.8, 1.2, 31)
+density = np.exp(-0.5 * ((atoms - 1.0) / 0.06) ** 2)
+density /= density.sum()
+
 sizes = np.unique(np.round(np.geomspace(50, 1500, 16)).astype(int))
 values = []
-for n in sizes:
-    slices = [rng.standard_normal(int(n)) for _ in range(4)]
-    total, per_edge = chain_energy(slices, np.full(3, 1 / 3))
+for s_i, n in enumerate(sizes):
+    clouds = sample_clouds(density, atoms, [n] * 4, seed=s_i)
+    counts = [atom_counts(cloud, atoms) for cloud in clouds]
+    total, _, _ = chain_energy_counts(counts, atoms, np.full(3, 1 / 3))
     values.append(total)
 
 series = ChainSeries(sizes.astype(float), np.asarray(values), sizes.astype(float))

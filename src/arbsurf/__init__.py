@@ -8,14 +8,13 @@ rule, a projected-descent decay harness, and a log-additive risk budget.
 """
 
 from .grid import (Grid2D, Surface, WeightField, check_mesh_admissibility,
-                   surface_from_json, surface_to_json, uniform_weight,
-                   unweighted_norm, vega_bump_weight, weighted_inner,
-                   weighted_norm)
+                   uniform_weight, unweighted_norm, vega_bump_weight,
+                   weighted_inner, weighted_norm)
 from .fd import (DupireField, FdConfig, dupire_field, dupire_total_variation,
                  fd_derivatives)
 from .cpwl import CpwlFunction, ReluNet, compile_to_relu, triangulate_tensor_grid
 from .smolyak import (AnisotropyConfig, activated_nodes, build_index_set,
-                      error_frontier, pca_head, smolyak_fit)
+                      error_frontier, smolyak_fit)
 from .projection import (ProjectionCertificates, ProjectionWarmStart,
                          pav_isotonic, project_to_cone,
                          projection_certificates)
@@ -23,14 +22,13 @@ from .bridge import (BridgeState, CertificateSet, TriMarginalProblem,
                      build_bridge, certify, dual_value, kkt_residual,
                      primal_value, tri_sinkhorn)
 from .chainstats import (ChainSeries, GateDecision, GateThresholds,
-                         KernelMixture, chain_energy, gate_v2,
-                         median_bandwidth_mixture, mmd2, n_eff,
-                         tail_diagnostics, tolerance_band)
+                         KernelMixture, gate_v2, n_eff, tail_diagnostics,
+                         tolerance_band)
 from .descent import (DescentConfig, PathGraph, chain_dirichlet_energy,
                       path_laplacian, projected_descent)
 from .risk import RiskBudget, RiskConstants, assemble_risk, eps_prox
 from .synth import (MarketParams, bs_price, bs_vega, extract_density,
-                    generate_surface, sample_clouds, vix2_replication)
+                    generate_surface, sample_clouds)
 from .pipeline import DEFAULT_CONFIG, RunConfig, run_pipeline
 
 __version__ = "0.1.0"

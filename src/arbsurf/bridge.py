@@ -223,11 +223,6 @@ class BridgeState:
     fallbacks_taken: list = field(default_factory=list)
     converged: bool = True
 
-    @property
-    def cumulative_min(self) -> np.ndarray:
-        res = np.asarray([r[4] for r in self.residual_trace])
-        return np.minimum.accumulate(res) if res.size else res
-
 
 @dataclass
 class CertificateSet:

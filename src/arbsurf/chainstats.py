@@ -3,9 +3,11 @@ energy on the maturity path, alpha-mixing effective sample size, and the
 Gate-V2 decision protocol (monotone envelope, degree-5 FIR smoothing,
 tail-median slope, trapezoidal area drop, concentration tolerance bands).
 
-The bandwidth and MMD^2 come in two forms: pairwise over sample arrays, and
-exact from atom counts for clouds drawn from a finite set of atoms, which
-is what the pipeline's chain gate uses.
+The pipeline's chain gate computes the median bandwidth and the unbiased
+MMD^2 exactly from atom counts, for clouds drawn from a finite set of atoms.
+The pairwise forms over sample arrays (``median_bandwidth_mixture``,
+``mmd2``, ``chain_energy``) are the reference that the count forms are
+tested against, and the benchmark harness calls them.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ __all__ = [
 SLOPE_PASS = 0.12        # 5! * 10^-3
 AREA_PASS = -0.02
 FIR_L1_BOUND = 120.0     # 5!
+
+# median-heuristic mixture: Gaussians at sigma * 2^l, l in OCTAVES, plus one
+# inverse multiquadric of shape IMQ_SHAPE at sigma
+OCTAVES = (-1, 0, 1)
+IMQ_SHAPE = 0.5
 
 
 @dataclass(frozen=True)
@@ -82,80 +89,43 @@ def _as_samples(X) -> np.ndarray:
     return X
 
 
-def _mixture_at(sigma: float, octaves, imq_shape: float) -> KernelMixture:
+def _mixture_at(sigma: float) -> KernelMixture:
     """Gaussians at sigma*2^l plus one IMQ at sigma, equally weighted;
     sigma <= 0 falls back to 1 and is flagged."""
     fallback = False
     if sigma <= 0:
         sigma = 1.0
         fallback = True
-    comps = tuple(("gaussian", sigma * 2.0**l, 0.0) for l in octaves)
-    comps = comps + (("imq", sigma, imq_shape),)
+    comps = tuple(("gaussian", sigma * 2.0**l, 0.0) for l in OCTAVES)
+    comps = comps + (("imq", sigma, IMQ_SHAPE),)
     n = len(comps)
     return KernelMixture(components=comps, weights=(1.0 / n,) * n,
                          fallback=fallback)
 
 
-def median_bandwidth_mixture(X, Y, octaves=(-1, 0, 1),
-                             imq_shape: float = 0.5) -> KernelMixture:
+def median_bandwidth_mixture(X, Y) -> KernelMixture:
     """Median-heuristic mixture: Gaussians at sigma*2^l plus one IMQ at sigma."""
     X, Y = _as_samples(X), _as_samples(Y)
     if X.size == 0 or Y.size == 0:
         raise ValueError("both samples must be nonempty")
     d = np.sqrt(_sq_dists(X, Y))
-    return _mixture_at(float(np.median(d)), octaves, imq_shape)
+    return _mixture_at(float(np.median(d)))
 
 
-def mmd2(X, Y, kernel: KernelMixture, mode: str = "full",
-         M_xx: int | None = None, M_yy: int | None = None,
-         M_xy: int | None = None, seed: int = 0) -> float:
-    """Unbiased squared maximum mean discrepancy between two samples.
-
-    ``full`` excludes diagonal pairs exactly; ``incomplete`` averages kernel
-    values over index multisets drawn with replacement (deterministic under
-    ``seed``); requesting at least as many pairs as exist switches to the
-    complete enumeration, which reproduces the full estimator.
-    """
+def mmd2(X, Y, kernel: KernelMixture) -> float:
+    """Unbiased squared maximum mean discrepancy between two samples; the
+    within-sample sums exclude diagonal pairs exactly."""
     X, Y = _as_samples(X), _as_samples(Y)
     n, m = X.shape[0], Y.shape[0]
-    if mode == "full":
-        if n < 2 or m < 2:
-            raise ValueError("full mode needs at least 2 samples on each side")
-        Kxx = kernel(_sq_dists(X, X))
-        Kyy = kernel(_sq_dists(Y, Y))
-        Kxy = kernel(_sq_dists(X, Y))
-        t_xx = (Kxx.sum() - np.trace(Kxx)) / (n * (n - 1))
-        t_yy = (Kyy.sum() - np.trace(Kyy)) / (m * (m - 1))
-        t_xy = 2.0 * Kxy.mean()
-        return float(t_xx + t_yy - t_xy)
-    if mode != "incomplete":
-        raise ValueError("mode must be 'full' or 'incomplete'")
-    if not all(M and M >= 1 for M in (M_xx, M_yy, M_xy)):
-        raise ValueError("incomplete mode needs M_xx, M_yy, M_xy >= 1")
-    rng = np.random.default_rng(seed)
-
-    def block(A, B, M, offdiag):
-        na, nb = A.shape[0], B.shape[0]
-        total = na * (na - 1) if offdiag else na * nb
-        if M >= total:
-            Kab = kernel(_sq_dists(A, B))
-            if offdiag:
-                return (Kab.sum() - np.trace(Kab)) / total
-            return Kab.mean()
-        if offdiag:
-            i = rng.integers(0, na, size=M)
-            j = rng.integers(0, na - 1, size=M)
-            j = np.where(j >= i, j + 1, j)
-        else:
-            i = rng.integers(0, na, size=M)
-            j = rng.integers(0, nb, size=M)
-        d = A[i] - B[j]
-        return float(kernel(np.sum(d * d, axis=-1)).mean())
-
-    t_xx = block(X, X, M_xx, True)
-    t_yy = block(Y, Y, M_yy, True)
-    t_xy = block(X, Y, M_xy, False)
-    return float(t_xx + t_yy - 2.0 * t_xy)
+    if n < 2 or m < 2:
+        raise ValueError("MMD^2 needs at least 2 samples on each side")
+    Kxx = kernel(_sq_dists(X, X))
+    Kyy = kernel(_sq_dists(Y, Y))
+    Kxy = kernel(_sq_dists(X, Y))
+    t_xx = (Kxx.sum() - np.trace(Kxx)) / (n * (n - 1))
+    t_yy = (Kyy.sum() - np.trace(Kyy)) / (m * (m - 1))
+    t_xy = 2.0 * Kxy.mean()
+    return float(t_xx + t_yy - t_xy)
 
 
 def _edge_weights(n_slices: int, edge_weights) -> np.ndarray:
@@ -169,26 +139,16 @@ def _edge_weights(n_slices: int, edge_weights) -> np.ndarray:
     return w
 
 
-def chain_energy(slices, edge_weights, kernel_policy=None, mode: str = "full",
-                 return_kernels: bool = False, **mmd_kwargs):
-    """Weighted sum of adjacent-pair MMD^2 along the maturity path.
-
-    kernel_policy(X, Y) -> KernelMixture; defaults to the median-heuristic
-    mixture per pair.  Returns (total, per_edge_values), plus the per-edge
-    mixtures when ``return_kernels`` is set.
-    """
+def chain_energy(slices, edge_weights):
+    """Weighted sum of adjacent-pair MMD^2 along the maturity path, with the
+    median-heuristic mixture per pair; returns the total, the per-edge MMD^2
+    and the per-edge mixtures."""
     slices = [_as_samples(s) for s in slices]
     w = _edge_weights(len(slices), edge_weights)
-    if kernel_policy is None:
-        kernel_policy = median_bandwidth_mixture
     pairs = list(zip(slices[:-1], slices[1:]))
-    kernels = [kernel_policy(a, b) for a, b in pairs]
-    per_edge = np.asarray([mmd2(a, b, k, mode=mode, **mmd_kwargs)
-                           for (a, b), k in zip(pairs, kernels)])
-    total = float(w @ per_edge)
-    if return_kernels:
-        return total, per_edge, kernels
-    return total, per_edge
+    kernels = [median_bandwidth_mixture(a, b) for a, b in pairs]
+    per_edge = np.asarray([mmd2(a, b, k) for (a, b), k in zip(pairs, kernels)])
+    return float(w @ per_edge), per_edge, kernels
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +166,7 @@ def atom_counts(cloud, atoms) -> np.ndarray:
     """Multiplicity of each atom in ``cloud``.
 
     ``atoms`` is strictly increasing and 1-D; every sample must equal one of
-    them exactly (a jittered cloud raises ``ValueError``).
+    them exactly (a cloud with noise added raises ``ValueError``).
     """
     atoms = np.asarray(atoms, dtype=float)
     cloud = np.asarray(cloud, dtype=float)
@@ -249,26 +209,24 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float((at(total // 2 - 1) + at(total // 2)) / 2.0)
 
 
-def median_bandwidth_counts(c_x, c_y, atoms,
-                            octaves=(-1, 0, 1)) -> KernelMixture:
-    """``median_bandwidth_mixture`` (default IMQ shape) of two clouds given
-    as atom counts."""
+def median_bandwidth_counts(c_x, c_y, atoms) -> KernelMixture:
+    """``median_bandwidth_mixture`` of two clouds given as atom counts."""
     sq = _atom_sq_dists(atoms)
     c_x, c_y = _as_counts(c_x, sq.shape[0]), _as_counts(c_y, sq.shape[0])
     if c_x.sum() == 0 or c_y.sum() == 0:
         raise ValueError("both samples must be nonempty")
     sigma = _weighted_median(np.sqrt(sq).ravel(), np.outer(c_x, c_y).ravel())
-    return _mixture_at(sigma, octaves, 0.5)
+    return _mixture_at(sigma)
 
 
 def mmd2_counts(c_x, c_y, atoms, kernel: KernelMixture) -> float:
-    """Full unbiased MMD^2 (``mmd2`` with mode="full") from atom counts."""
+    """The unbiased MMD^2 of ``mmd2`` from atom counts."""
     K = kernel(_atom_sq_dists(atoms))
     c_x = _as_counts(c_x, K.shape[0]).astype(float)
     c_y = _as_counts(c_y, K.shape[0]).astype(float)
     n, m = c_x.sum(), c_y.sum()
     if n < 2 or m < 2:
-        raise ValueError("full mode needs at least 2 samples on each side")
+        raise ValueError("MMD^2 needs at least 2 samples on each side")
     k0 = float(kernel(np.zeros(1))[0])
     t_xx = (c_x @ K @ c_x - n * k0) / (n * (n - 1))
     t_yy = (c_y @ K @ c_y - m * k0) / (m * (m - 1))
@@ -276,14 +234,12 @@ def mmd2_counts(c_x, c_y, atoms, kernel: KernelMixture) -> float:
     return float(t_xx + t_yy - t_xy)
 
 
-def chain_energy_counts(counts, atoms, edge_weights, octaves=(-1, 0, 1)):
-    """``chain_energy`` with the median-heuristic mixture per pair, for
-    slices given as count vectors over the same atoms; returns the total,
-    the per-edge MMD^2 and the per-edge mixtures."""
+def chain_energy_counts(counts, atoms, edge_weights):
+    """``chain_energy`` for slices given as count vectors over the same
+    atoms; returns the total, the per-edge MMD^2 and the per-edge mixtures."""
     w = _edge_weights(len(counts), edge_weights)
     pairs = list(zip(counts[:-1], counts[1:]))
-    kernels = [median_bandwidth_counts(a, b, atoms, octaves=octaves)
-               for a, b in pairs]
+    kernels = [median_bandwidth_counts(a, b, atoms) for a, b in pairs]
     per_edge = np.asarray([mmd2_counts(a, b, atoms, k)
                            for (a, b), k in zip(pairs, kernels)])
     return float(w @ per_edge), per_edge, kernels

@@ -17,13 +17,41 @@ __all__ = [
 ]
 
 
+def _laplacian(w: np.ndarray) -> np.ndarray:
+    L = np.zeros((w.size + 1, w.size + 1))
+    for t, wt in enumerate(w):
+        L[t, t] += wt
+        L[t + 1, t + 1] += wt
+        L[t, t + 1] -= wt
+        L[t + 1, t] -= wt
+    return L
+
+
 @dataclass
 class PathGraph:
+    """Weighted path graph on T nodes.
+
+    The trace form tr(Psi^T L Psi) equals the edge sum
+    sum_t w_t ||psi_t - psi_{t+1}||^2 for every state chain Psi exactly when
+    L is the Laplacian of the edge weights, which construction checks once.
+    """
+
     T: int
     edge_weights: np.ndarray
     laplacian: np.ndarray
     lambda2: float
     eigenvalues: np.ndarray = field(default_factory=lambda: np.array([]))
+
+    def __post_init__(self):
+        w = np.asarray(self.edge_weights, dtype=float)
+        L = np.asarray(self.laplacian, dtype=float)
+        if w.shape != (self.T - 1,) or L.shape != (self.T, self.T):
+            raise ValueError("a path graph on T nodes needs T - 1 edge "
+                             "weights and a T x T Laplacian")
+        L_w = _laplacian(w)
+        if np.max(np.abs(L - L_w)) > 1e-10 * (1.0 + np.max(np.abs(L_w))):
+            raise ValueError("edge-sum and trace Dirichlet forms disagree: "
+                             "the Laplacian is not that of the edge weights")
 
 
 def path_laplacian(T: int, edge_weights) -> PathGraph:
@@ -35,12 +63,7 @@ def path_laplacian(T: int, edge_weights) -> PathGraph:
         raise ValueError("edge_weights must have length T - 1")
     if np.any(w <= 0):
         raise ValueError("edge weights must be positive")
-    L = np.zeros((T, T))
-    for t, wt in enumerate(w):
-        L[t, t] += wt
-        L[t + 1, t + 1] += wt
-        L[t, t + 1] -= wt
-        L[t + 1, t] -= wt
+    L = _laplacian(w)
     eig = np.linalg.eigvalsh(L)
     return PathGraph(T=T, edge_weights=w, laplacian=L, lambda2=float(eig[1]),
                      eigenvalues=eig)
@@ -54,16 +77,13 @@ def _stack_states(states) -> np.ndarray:
 
 
 def chain_dirichlet_energy(states, graph: PathGraph) -> float:
-    """Dirichlet energy of the state chain; edge-sum and trace forms must agree."""
+    """Dirichlet energy of the state chain, as the edge sum; ``PathGraph``
+    guarantees that it equals the trace form."""
     Psi = _stack_states(states)
     if Psi.shape[0] != graph.T:
         raise ValueError("number of states must equal the graph size")
     diffs = np.diff(Psi, axis=0)
-    edge_sum = float(np.sum(graph.edge_weights * np.sum(diffs**2, axis=1)))
-    trace_form = float(np.trace(Psi.T @ graph.laplacian @ Psi))
-    if abs(edge_sum - trace_form) > 1e-10 * (1.0 + abs(edge_sum)):
-        raise AssertionError("edge-sum and trace Dirichlet forms disagree")
-    return edge_sum
+    return float(np.sum(graph.edge_weights * np.sum(diffs**2, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -111,15 +131,11 @@ def projected_descent(initial_states, targets, graph: PathGraph,
         projector = lambda z: z
     rng = np.random.default_rng(seed)
 
-    def energy(z):
-        d = np.diff(z, axis=0)
-        return float(np.sum(graph.edge_weights * np.sum(d**2, axis=1)))
-
     def data_fit(z):
         return 0.5 * float(np.sum((z - tgt) ** 2)) if has_data else 0.0
 
-    traj = [{"step": 0, "chain_energy": energy(x), "data_fit": data_fit(x),
-             "accepted": True}]
+    traj = [{"step": 0, "chain_energy": chain_dirichlet_energy(x, graph),
+             "data_fit": data_fit(x), "accepted": True}]
     for t in range(cfg.steps):
         eta = cfg.step_size(t)
         grad = 2.0 * cfg.lambda_chain * (graph.laplacian @ x)
@@ -130,7 +146,7 @@ def projected_descent(initial_states, targets, graph: PathGraph,
         x_try = x - eta * (grad + noise)
         pulled = (1.0 - cfg.alpha) * x_try + cfg.alpha * _apply_projector(
             projector, x_try, shape0)
-        e_new = energy(pulled)
+        e_new = chain_dirichlet_energy(pulled, graph)
         e_old = traj[-1]["chain_energy"]
         accepted = e_new <= e_old * (1.0 + cfg.trust_region_rel) + 1e-300
         if accepted:

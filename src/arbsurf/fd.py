@@ -10,7 +10,6 @@ operators are linear maps and are exposed as explicit stencil matrices;
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,7 +27,6 @@ __all__ = [
     "dkk_matrix",
     "dtau_matrix",
     "weighted_operator_norm",
-    "dupire_to_json",
 ]
 
 
@@ -176,13 +174,3 @@ def weighted_operator_norm(D: np.ndarray, weights: np.ndarray,
             return 0.0
         v /= nv
     return float(np.linalg.norm(M @ v))
-
-
-def dupire_to_json(field: DupireField) -> str:
-    doc = {
-        "strikes": field.grid.strikes.tolist(),
-        "maturities": field.grid.maturities.tolist(),
-        "values": field.sigma2.tolist(),
-        "clipped": field.clipped_mask.astype(bool).tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)

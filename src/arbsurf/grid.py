@@ -7,7 +7,6 @@ a 2D trapezoid discretization of ``int f(K,tau)^2 w(K,tau) dK dtau``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,8 +25,6 @@ __all__ = [
     "vega_bump_weight",
     "uniform_weight",
     "check_mesh_admissibility",
-    "surface_to_json",
-    "surface_from_json",
 ]
 
 
@@ -298,23 +295,3 @@ def check_mesh_admissibility(C: Surface, grid: Grid2D, c1: float = 1.0,
         h_tau=grid.h_tau,
         reason=reason,
     )
-
-
-def surface_to_json(surface: Surface, w: WeightField | None = None) -> str:
-    """Serialize grid/weight/surface as the flat JSON schema."""
-    doc = {
-        "strikes": surface.grid.strikes.tolist(),
-        "maturities": surface.grid.maturities.tolist(),
-        "values": surface.values.tolist(),
-    }
-    if w is not None:
-        doc["w"] = w.w.tolist()
-    return json.dumps(doc, sort_keys=True)
-
-
-def surface_from_json(text: str) -> tuple[Surface, WeightField | None]:
-    doc = json.loads(text)
-    grid = Grid2D(np.asarray(doc["strikes"]), np.asarray(doc["maturities"]))
-    surface = Surface(np.asarray(doc["values"]), grid, is_price=False)
-    w = WeightField(np.asarray(doc["w"])) if "w" in doc else None
-    return surface, w

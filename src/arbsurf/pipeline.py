@@ -130,6 +130,13 @@ class RunConfig(dict):
         if self["chain"]["n_maturities_used"] < 2:
             raise ValueError("config key '/chain/n_maturities_used' must be "
                              "at least 2: the chain gate compares maturities")
+        sizes = self["chain"]["sizes"]
+        if (len(sizes) < 4 or min(sizes) < 2
+                or any(b <= a for a, b in zip(sizes, sizes[1:]))):
+            raise ValueError("config key '/chain/sizes' must hold at least 4 "
+                             "strictly increasing sizes, each at least 2: the "
+                             "gate reads a tail of the series, and each MMD^2 "
+                             "needs 2 samples per cloud")
         n_mat, n_k = self["grid"]["n_maturities"], self["grid"]["n_strikes"]
         if not 1 <= self["bridge"]["triad_center"] <= n_mat - 2:
             raise ValueError(f"config key '/bridge/triad_center' must lie in "

@@ -1,4 +1,4 @@
-"""Anisotropic sparse-grid CPWL interpolation with a PCA head option.
+"""Anisotropic sparse-grid CPWL interpolation and its error frontier.
 
 The interpolant is the classical combination-technique sum of tensor bilinear
 interpolants over a slanted dyadic index set.  It is materialized as a single
@@ -23,7 +23,6 @@ __all__ = [
     "combination_coefficients",
     "activated_nodes",
     "smolyak_fit",
-    "pca_head",
     "error_frontier",
 ]
 
@@ -190,45 +189,6 @@ def smolyak_fit(target, cfg: AnisotropyConfig, domain) -> CpwlFunction:
         "combination": comb,
     }
     return triangulate_tensor_grid(xs, ys, values, info=info)
-
-
-def pca_head(section_matrix: np.ndarray, k: int, weights: np.ndarray | None = None):
-    """Leading weighted principal modes across strike sections.
-
-    Parameters
-    ----------
-    section_matrix : (n_tau, n_K) array, maturities as rows.
-    k : number of modes.
-    weights : optional positive strike weights defining the inner product.
-
-    Returns
-    -------
-    modes : (k, n_K) orthonormal in the weighted inner product, sign-fixed so
-        the largest-magnitude entry of each mode is positive.
-    coefficients : (k, n_tau) maturity series; sum_m coeff[m][t] * modes[m]
-        reconstructs the matrix at full rank.
-    """
-    A = np.asarray(section_matrix, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("section_matrix must be 2D")
-    n_tau, n_K = A.shape
-    if not (1 <= k <= min(n_tau, n_K)):
-        raise ValueError(f"k={k} out of range for a {n_tau}x{n_K} matrix")
-    if weights is None:
-        weights = np.ones(n_K)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n_K,) or np.any(weights <= 0):
-        raise ValueError("weights must be positive with one entry per strike")
-    ws = np.sqrt(weights)
-    U, S, Vt = np.linalg.svd(A * ws[None, :], full_matrices=False)
-    modes = Vt[:k] / ws[None, :]
-    coeffs = U[:, :k].T * S[:k, None]
-    for m in range(k):
-        jmax = int(np.argmax(np.abs(modes[m])))
-        if modes[m, jmax] < 0:
-            modes[m] = -modes[m]
-            coeffs[m] = -coeffs[m]
-    return modes, coeffs
 
 
 def error_frontier(target, levels, cfg: AnisotropyConfig, domain,

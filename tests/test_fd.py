@@ -197,12 +197,3 @@ def test_dtau_matrix_affine_exact():
     np.testing.assert_allclose(S @ (2.0 * taus + 1.0), 2.0, atol=1e-12)
 
 
-def test_dupire_json_export(grid21x11, bs_surface_21x11):
-    import json
-
-    from arbsurf.fd import dupire_to_json
-    fld = dupire_field(bs_surface_21x11, grid21x11)
-    doc = json.loads(dupire_to_json(fld))
-    assert set(doc) == {"strikes", "maturities", "values", "clipped"}
-    assert np.asarray(doc["values"]).shape == grid21x11.shape
-    assert np.asarray(doc["clipped"]).dtype == bool

@@ -1,14 +1,12 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbsurf.grid import (Grid2D, Surface, WeightField, check_mesh_admissibility,
-                          quadrature_matrix, surface_from_json, surface_to_json,
-                          trapezoid_weights, uniform_weight, unweighted_norm,
-                          vega_bump_weight, weighted_inner, weighted_norm)
+                          quadrature_matrix, trapezoid_weights, uniform_weight,
+                          unweighted_norm, vega_bump_weight, weighted_inner,
+                          weighted_norm)
 
 from conftest import bs_call, bs_gamma_K
 
@@ -218,12 +216,3 @@ def test_admissibility_monotone_under_refinement():
         assert report.passed, f"refinement flipped PASS at {n_K}x{n_tau}"
 
 
-def test_surface_json_roundtrip(grid21x11, weight21x11, bs_surface_21x11):
-    s = Surface(bs_surface_21x11, grid21x11)
-    text = surface_to_json(s, weight21x11)
-    doc = json.loads(text)
-    assert set(doc) == {"strikes", "maturities", "values", "w"}
-    s2, w2 = surface_from_json(text)
-    np.testing.assert_allclose(s2.values, s.values)
-    np.testing.assert_allclose(w2.w, weight21x11.w)
-    assert np.asarray(doc["values"]).shape == grid21x11.shape  # maturities rows

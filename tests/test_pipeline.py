@@ -64,6 +64,25 @@ def test_config_rejects_unknown_keys():
             RunConfig(bad)
 
 
+def test_config_rejects_chain_sizes_the_gate_cannot_use():
+    # each of these loaded and failed only in stage gate, after generate,
+    # fit and project: too short a series for the tail, sizes not strictly
+    # increasing, and clouds of one sample
+    for sizes in ([60, 90, 130], [90, 60, 130, 190, 280], [1, 2, 3, 4, 5]):
+        with pytest.raises(ValueError, match="/chain/sizes"):
+            RunConfig({"chain": {"sizes": sizes}})
+    # the benchmark's chains load, and the shortest chain the rule accepts
+    # runs through the gate
+    for sizes in ([20, 30, 40, 60, 90],
+                  [20, 30, 40, 60, 90, 130, 190, 280, 410, 600]):
+        RunConfig({"chain": {"sizes": sizes}})
+    ctx = PipelineContext({"projection": {"lip_trials": 2},
+                           "chain": {"sizes": [2, 3, 4, 5]}})
+    for stage in ("generate", "fit", "project", "gate"):
+        getattr(ctx, f"stage_{stage}")()
+    assert len(ctx.summary["R2"]["values"]) == 4
+
+
 def test_config_partial_override():
     cfg = RunConfig({"seed": 3, "bridge": {"rank": 6}})
     assert cfg["seed"] == 3

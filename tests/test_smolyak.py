@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arbsurf.smolyak import (AnisotropyConfig, activated_nodes, build_index_set,
-                             combination_coefficients, error_frontier, pca_head,
+                             combination_coefficients, error_frontier,
                              smolyak_fit)
 
 UNIT = ((0.0, 1.0), (0.0, 1.0))
@@ -103,90 +103,6 @@ def test_sin_sin_rate():
         s_levels.append(2.0**L)
     slope = np.polyfit(np.log(s_levels), np.log(errs), 1)[0]
     assert -2.5 <= slope <= -1.5
-
-
-def test_pca_rank_one_exact():
-    u = np.array([1.0, -2.0, 0.5, 3.0])
-    z = np.array([0.3, 1.2, -0.7])
-    A = np.outer(z, u)
-    modes, coeffs = pca_head(A, 1)
-    recon = coeffs.T @ modes
-    assert np.max(np.abs(recon - A)) <= 1e-10
-
-
-def test_pca_full_rank_exact():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((5, 7))
-    modes, coeffs = pca_head(A, 5)
-    np.testing.assert_allclose(coeffs.T @ modes, A, atol=1e-10)
-
-
-def test_pca_residual_matches_svd_oracle():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((8, 12))
-    w = np.abs(rng.standard_normal(12)) + 0.5
-    modes, coeffs = pca_head(A, 3, weights=w)
-    resid = A - coeffs.T @ modes
-    got = np.sum(resid**2 * w[None, :])
-    sv = np.linalg.svd(A * np.sqrt(w)[None, :], compute_uv=False)
-    oracle = np.sum(sv[3:] ** 2)
-    assert got == pytest.approx(oracle, abs=1e-8)
-
-
-def test_pca_modes_weighted_orthonormal_and_sign():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((6, 9))
-    w = np.abs(rng.standard_normal(9)) + 0.5
-    modes, _ = pca_head(A, 4, weights=w)
-    G = (modes * w[None, :]) @ modes.T
-    np.testing.assert_allclose(G, np.eye(4), atol=1e-10)
-    for m in modes:
-        assert m[np.argmax(np.abs(m))] > 0
-
-
-def test_pca_k_out_of_range():
-    with pytest.raises(ValueError):
-        pca_head(np.ones((3, 4)), 5)
-
-
-def test_pca_reconstruction_error_nonincreasing_in_k():
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((6, 8))
-    prev = np.inf
-    for k in range(1, 7):
-        modes, coeffs = pca_head(A, k)
-        err = float(np.sum((A - coeffs.T @ modes) ** 2))
-        assert err <= prev + 1e-12
-        prev = err
-
-
-def test_head_trunk_triangle_inequality():
-    target = lambda X, Y: (np.sin(np.pi * X) * np.cos(0.5 * np.pi * Y)
-                           + 0.2 * X * Y)
-    taus = np.linspace(0, 1, 9)
-    ks = np.linspace(0, 1, 13)
-    A = target(*np.meshgrid(ks, taus))
-    modes, coeffs = pca_head(A, 3)
-    cfg = AnisotropyConfig(1, 1, 4)
-    per_mode_err, fits = [], []
-    for m in range(3):
-        mode_fn = lambda X, Y, m=m: (np.interp(Y.ravel(), taus, coeffs[m])
-                                     * np.interp(X.ravel(), ks, modes[m])
-                                     ).reshape(np.shape(X))
-        fit = smolyak_fit(mode_fn, cfg, UNIT)
-        fits.append((fit, mode_fn))
-        per_mode_err.append(_weighted_l2_error(fit, mode_fn))
-    # summed-mode error <= sum of per-mode errors
-    def sum_target(X, Y):
-        return sum(fn(X, Y) for _, fn in fits)
-    hx = np.linspace(0, 1, 97)
-    hy = np.linspace(0, 1, 89)
-    HX, HY = np.meshgrid(hx, hy)
-    wq = np.outer(_trap(hy), _trap(hx))
-    pts = np.column_stack([HX.ravel(), HY.ravel()])
-    total = sum(f.evaluate(pts) for f, _ in fits).reshape(HX.shape)
-    err_sum = float(np.sqrt(np.sum((total - sum_target(HX, HY)) ** 2 * wq)))
-    assert err_sum <= sum(per_mode_err) + 1e-12
 
 
 def test_frontier_affine_target():

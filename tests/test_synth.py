@@ -12,8 +12,7 @@ from arbsurf.fd import FdConfig, dupire_field
 from arbsurf.grid import Grid2D, Surface, vega_bump_weight
 from arbsurf.projection import feasibility_violation, project_to_cone
 from arbsurf.synth import (MarketParams, _ndtr, bs_price, bs_vega,
-                           extract_density, generate_surface, sample_clouds,
-                           vix2_replication)
+                           extract_density, generate_surface, sample_clouds)
 
 from conftest import bs_call
 
@@ -174,45 +173,6 @@ def test_density_degenerate_raises():
     K, _ = np.meshgrid(g.strikes, g.maturities)
     with pytest.raises(ValueError):
         extract_density(2.0 * K + 1.0, g, 1)   # affine: zero curvature
-
-
-def test_vix2_zero_portfolio():
-    assert vix2_replication([0.0, 0.0], [0.0, 0.0], [90.0, 110.0], 100.0,
-                            0.0, 0.5) == 0.0
-
-
-def test_vix2_hand_value():
-    tau = 30.0 / 365.0
-    got = vix2_replication([1.0, 0.0], [0.0, 1.0], [90.0, 110.0], 100.0,
-                           0.0, tau)
-    hand = (2.0 / tau) * (20.0 / 2.0) * (1.0 / 90.0**2 + 1.0 / 110.0**2)
-    assert got == pytest.approx(hand, abs=1e-10)
-
-
-def test_vix2_otm_selector_and_rate():
-    # at-the-spot strike takes the call; the rate enters as exp(r tau)
-    tau, r = 0.25, 0.03
-    got = vix2_replication([5.0, 7.0], [2.0, 1.0], [90.0, 100.0], 100.0, r, tau)
-    integrand = np.array([5.0 / 90.0**2, 1.0 / 100.0**2])
-    hand = 2.0 * np.exp(r * tau) / tau * 0.5 * 10.0 * integrand.sum()
-    assert got == pytest.approx(hand, abs=1e-12)
-
-
-def test_vix2_homogeneity():
-    tau = 0.3
-    P = np.array([1.2, 0.4])
-    C = np.array([0.1, 0.8])
-    Ks = np.array([95.0, 105.0])
-    v1 = vix2_replication(P, C, Ks, 100.0, 0.0, tau)
-    v2 = vix2_replication(2 * P, 2 * C, Ks, 100.0, 0.0, tau)
-    assert v2 == pytest.approx(2 * v1, abs=1e-12)
-
-
-def test_vix2_validation():
-    with pytest.raises(ValueError):
-        vix2_replication([1.0], [1.0], [-5.0], 100.0, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        vix2_replication([1.0, 1.0], [1.0, 1.0], [90.0, 110.0], 100.0, 0.0, 0.0)
 
 
 def test_sample_clouds_seeded_and_sized():
