@@ -10,7 +10,8 @@ the atom counts.
 import numpy as np
 
 from arbsurf import ChainSeries, gate_v2, sample_clouds
-from arbsurf.chainstats import atom_counts, chain_energy_counts
+from arbsurf.chainstats import (atom_counts, chain_energy_counts,
+                                median_bandwidth_counts, mmd2_counts)
 
 atoms = np.linspace(0.8, 1.2, 31)
 density = np.exp(-0.5 * ((atoms - 1.0) / 0.06) ** 2)
@@ -28,6 +29,14 @@ series = ChainSeries(sizes.astype(float), np.asarray(values), sizes.astype(float
 print("size   chain MMD^2")
 for n, v in zip(sizes, values):
     print(f"{n:>5}  {v:+.5e}")
+
+# the chain MMD^2 is the edge-weighted mean of one MMD^2 per adjacent pair,
+# each at that pair's median bandwidth
+print(f"\nedges of the n={sizes[-1]} chain:")
+for e, (c_x, c_y) in enumerate(zip(counts[:-1], counts[1:])):
+    kernel = median_bandwidth_counts(c_x, c_y, atoms)
+    print(f"  {e}-{e + 1}: sigma {kernel.components[-1][1]:.4f}  "
+          f"MMD^2 {mmd2_counts(c_x, c_y, atoms, kernel):+.5e}")
 
 decision = gate_v2(series)
 print(f"\ntail slope (median of sliding OLS): {decision.slope_tail:+.3e}  "

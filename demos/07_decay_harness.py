@@ -1,4 +1,4 @@
-"""Projected stochastic descent with proximal pulls: chain-energy decay.
+"""Projected stochastic descent: chain-energy decay.
 
 Shows the spectral-gap control: the fitted per-step contraction of the mean
 chain energy grows with lambda2 of the maturity path graph.

@@ -13,20 +13,19 @@ from .grid import (Grid2D, Surface, WeightField, check_mesh_admissibility,
 from .fd import (DupireField, FdConfig, dupire_field, dupire_total_variation,
                  fd_derivatives)
 from .cpwl import CpwlFunction, ReluNet, compile_to_relu, triangulate_tensor_grid
-from .smolyak import (AnisotropyConfig, activated_nodes, build_index_set,
-                      error_frontier, smolyak_fit)
+from .smolyak import (AnisotropyConfig, build_index_set, error_frontier,
+                      smolyak_fit)
 from .projection import (ProjectionCertificates, ProjectionWarmStart,
                          pav_isotonic, project_to_cone,
                          projection_certificates)
 from .bridge import (BridgeState, CertificateSet, TriMarginalProblem,
                      build_bridge, certify, dual_value, kkt_residual,
                      primal_value, tri_sinkhorn)
-from .chainstats import (ChainSeries, GateDecision, GateThresholds,
-                         KernelMixture, gate_v2, n_eff, tail_diagnostics,
-                         tolerance_band)
+from .chainstats import (ChainSeries, GateDecision, KernelMixture, gate_v2,
+                         n_eff, tail_diagnostics, tolerance_band)
 from .descent import (DescentConfig, PathGraph, chain_dirichlet_energy,
                       path_laplacian, projected_descent)
-from .risk import RiskBudget, RiskConstants, assemble_risk, eps_prox
+from .risk import RiskBudget, assemble_risk, eps_prox
 from .synth import (MarketParams, bs_price, bs_vega, extract_density,
                     generate_surface, sample_clouds)
 from .pipeline import DEFAULT_CONFIG, RunConfig, run_pipeline

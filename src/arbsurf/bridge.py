@@ -40,6 +40,14 @@ MU_HAT_FLOOR = 1e-12
 KKT_PASS = 0.24          # 4! * 10^-2
 RGEO_PASS = 1.05
 MUHAT_BAND = (1e-4, 1e-1)
+# ridge on the whitened Gram matrix whose smallest eigenvalue is mu_hat
+GRAM_RIDGE = 1e-8
+# the damping factor of a Sinkhorn update adapts within these bounds
+DAMPING_MIN = 0.1
+DAMPING_MAX = 1.0
+# iterations the final annealing stage runs at least, so that the r_geo
+# certificate reads a tail of ratios
+MIN_FINAL_ITERS = 12
 
 
 def _logsumexp(a, axis=None, keepdims=False):
@@ -342,15 +350,14 @@ def tri_sinkhorn(problem: TriMarginalProblem,
                  kernels: BridgeKernels | None = None,
                  tol: float = KKT_PASS,
                  t_max: int = 400,
-                 damping_bounds: tuple = (0.1, 1.0),
-                 min_final_iters: int = 12,
-                 ridge: float = 1e-8,
                  update_middle: bool = True):
     """Run the annealed, damped log-domain tri-Sinkhorn loop.
 
-    Returns (BridgeState, CertificateSet).  A run that exhausts its budget
-    after the fallback ladder reports ``converged=False`` on both outputs
-    instead of raising; the caller gates on the certificates.
+    Each stage runs at most ``t_max`` sweeps, the final one at least
+    ``MIN_FINAL_ITERS``; the damping adapts within [``DAMPING_MIN``,
+    ``DAMPING_MAX``].  Returns (BridgeState, CertificateSet).  A run that
+    exhausts its budget after the fallback ladder reports ``converged=False``
+    on both outputs instead of raising; the caller gates on the certificates.
 
     ``update_middle=False`` freezes the middle potential so the middle
     marginal is carried only by the entropic reference.  That is the
@@ -369,15 +376,14 @@ def tri_sinkhorn(problem: TriMarginalProblem,
         state.residual_trace = [(0.0, 0.0, 0.0, 0.0, 0.0)]
         state.stage_traces = [[(0.0, 0.0, 0.0, 0.0, 0.0)]]
         certs = CertificateSet(kkt=0.0, kkt_components=(0.0,) * 4, r_geo=0.0,
-                               mu_hat=max(2.0 + ridge, MU_HAT_FLOOR),
+                               mu_hat=max(2.0 + GRAM_RIDGE, MU_HAT_FLOOR),
                                iterations=1,
                                epsilon_final=problem.epsilon_schedule[-1])
         return state, certs
 
-    gamma_min, gamma_max = damping_bounds
     state = BridgeState(np.zeros(n), np.zeros(n), np.zeros(n), 0.0,
                         problem.epsilon_schedule[0])
-    state.damping = gamma_max
+    state.damping = DAMPING_MAX
     active1 = problem.m1 > 0
     active2 = (problem.m2 > 0) if update_middle else np.zeros(n, dtype=bool)
     active3 = problem.m3 > 0
@@ -408,15 +414,15 @@ def tri_sinkhorn(problem: TriMarginalProblem,
                 if res > trace[-2][4]:
                     increases += 1
                     if increases >= 2:
-                        gamma = max(gamma / 1.5, gamma_min)
+                        gamma = max(gamma / 1.5, DAMPING_MIN)
                         increases = 0
                 else:
                     increases = 0
             if len(trace) >= 6:
                 prev = trace[-6][4]
                 if prev > 0 and (prev - res) / prev < 1e-3:
-                    if gamma < gamma_max:
-                        gamma = min(1.5 * gamma, gamma_max)
+                    if gamma < DAMPING_MAX:
+                        gamma = min(1.5 * gamma, DAMPING_MAX)
                     elif res <= stage_tol:
                         break
                     elif len(trace) > 30 and (prev - res) / prev < 1e-9:
@@ -437,7 +443,7 @@ def tri_sinkhorn(problem: TriMarginalProblem,
         state.epsilon = eps
         final_stage = si == len(schedule) - 1
         trace = run_stage(st, state, t_max, tol,
-                          min_iters=min_final_iters if final_stage else 1)
+                          min_iters=MIN_FINAL_ITERS if final_stage else 1)
         state.stage_traces.append(trace)
         state.residual_trace.extend(trace)
 
@@ -455,7 +461,7 @@ def tri_sinkhorn(problem: TriMarginalProblem,
         state.damping = saved
     if final_kkt() > tol:
         state.fallbacks_taken.append("damping_increase")
-        state.damping = max(gamma_min, 0.5 * state.damping)
+        state.damping = max(DAMPING_MIN, 0.5 * state.damping)
         trace = run_stage(kernels.final, state, t_max // 2, tol)
         state.stage_traces[-1].extend(trace)
         state.residual_trace.extend(trace)
@@ -474,7 +480,7 @@ def tri_sinkhorn(problem: TriMarginalProblem,
         state.residual_trace.extend(trace)
 
     state.converged = final_kkt() <= tol
-    certs = certify(state, problem, kernels, ridge=ridge)
+    certs = certify(state, problem, kernels)
     return state, certs
 
 
@@ -487,8 +493,9 @@ def kkt_residual(state: BridgeState, problem: TriMarginalProblem,
 
 
 def certify(state: BridgeState, problem: TriMarginalProblem,
-            kernels: BridgeKernels, ridge: float = 1e-8) -> CertificateSet:
-    """Certificates from the final-stage residual trace and whitened Gram."""
+            kernels: BridgeKernels) -> CertificateSet:
+    """Certificates from the final-stage residual trace and whitened Gram
+    (plus ``GRAM_RIDGE`` on its diagonal)."""
     trace = state.stage_traces[-1] if state.stage_traces else []
     if len(trace) < 2:
         raise ValueError("residual trace too short for certification")
@@ -501,7 +508,7 @@ def certify(state: BridgeState, problem: TriMarginalProblem,
 
     phi2 = kernels.phi2
     G = (phi2.T * problem.m1) @ phi2 + (phi2.T * problem.m3) @ phi2
-    G = G + ridge * np.eye(G.shape[0])
+    G = G + GRAM_RIDGE * np.eye(G.shape[0])
     mu_hat = max(float(np.linalg.eigvalsh(G)[0]), MU_HAT_FLOOR)
 
     kkt, comps = kkt_residual(state, problem, kernels)

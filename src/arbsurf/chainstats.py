@@ -21,7 +21,6 @@ from .projection import pav_isotonic
 __all__ = [
     "KernelMixture",
     "ChainSeries",
-    "GateThresholds",
     "GateDecision",
     "median_bandwidth_mixture",
     "mmd2",
@@ -41,6 +40,12 @@ __all__ = [
 SLOPE_PASS = 0.12        # 5! * 10^-3
 AREA_PASS = -0.02
 FIR_L1_BOUND = 120.0     # 5!
+FIR_HALFWIDTH = 6        # the smoother's stencil spans 2 * 6 + 1 sizes
+TAIL_FRACTION = 0.1      # share of the series the tail slope and area read
+BAND_DELTA = 0.05        # tolerance bands hold with probability 1 - delta
+# alpha-mixing coefficients enter n_eff as alpha^(gamma / (2 + gamma)), at
+# moment order gamma = 1
+MIXING_EXPONENT = 1.0 / 3.0
 
 # median-heuristic mixture: Gaussians at sigma * 2^l, l in OCTAVES, plus one
 # inverse multiquadric of shape IMQ_SHAPE at sigma
@@ -209,19 +214,18 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float((at(total // 2 - 1) + at(total // 2)) / 2.0)
 
 
-def median_bandwidth_counts(c_x, c_y, atoms) -> KernelMixture:
-    """``median_bandwidth_mixture`` of two clouds given as atom counts."""
-    sq = _atom_sq_dists(atoms)
-    c_x, c_y = _as_counts(c_x, sq.shape[0]), _as_counts(c_y, sq.shape[0])
+def _median_bandwidth(dists: np.ndarray, c_x, c_y) -> KernelMixture:
+    """``median_bandwidth_counts`` given the atoms' distance matrix."""
+    c_x, c_y = _as_counts(c_x, dists.shape[0]), _as_counts(c_y, dists.shape[0])
     if c_x.sum() == 0 or c_y.sum() == 0:
         raise ValueError("both samples must be nonempty")
-    sigma = _weighted_median(np.sqrt(sq).ravel(), np.outer(c_x, c_y).ravel())
+    sigma = _weighted_median(dists.ravel(), np.outer(c_x, c_y).ravel())
     return _mixture_at(sigma)
 
 
-def mmd2_counts(c_x, c_y, atoms, kernel: KernelMixture) -> float:
-    """The unbiased MMD^2 of ``mmd2`` from atom counts."""
-    K = kernel(_atom_sq_dists(atoms))
+def _mmd2(sq: np.ndarray, c_x, c_y, kernel: KernelMixture) -> float:
+    """``mmd2_counts`` given the atoms' squared distance matrix."""
+    K = kernel(sq)
     c_x = _as_counts(c_x, K.shape[0]).astype(float)
     c_y = _as_counts(c_y, K.shape[0]).astype(float)
     n, m = c_x.sum(), c_y.sum()
@@ -234,19 +238,33 @@ def mmd2_counts(c_x, c_y, atoms, kernel: KernelMixture) -> float:
     return float(t_xx + t_yy - t_xy)
 
 
+def median_bandwidth_counts(c_x, c_y, atoms) -> KernelMixture:
+    """``median_bandwidth_mixture`` of two clouds given as atom counts."""
+    return _median_bandwidth(np.sqrt(_atom_sq_dists(atoms)), c_x, c_y)
+
+
+def mmd2_counts(c_x, c_y, atoms, kernel: KernelMixture) -> float:
+    """The unbiased MMD^2 of ``mmd2`` from atom counts."""
+    return _mmd2(_atom_sq_dists(atoms), c_x, c_y, kernel)
+
+
 def chain_energy_counts(counts, atoms, edge_weights):
     """``chain_energy`` for slices given as count vectors over the same
-    atoms; returns the total, the per-edge MMD^2 and the per-edge mixtures."""
+    atoms; returns the total, the per-edge MMD^2 and the per-edge mixtures.
+    The atoms' distance matrix is built once for all edges."""
     w = _edge_weights(len(counts), edge_weights)
+    sq = _atom_sq_dists(atoms)
+    dists = np.sqrt(sq)
     pairs = list(zip(counts[:-1], counts[1:]))
-    kernels = [median_bandwidth_counts(a, b, atoms) for a, b in pairs]
-    per_edge = np.asarray([mmd2_counts(a, b, atoms, k)
+    kernels = [_median_bandwidth(dists, a, b) for a, b in pairs]
+    per_edge = np.asarray([_mmd2(sq, a, b, k)
                            for (a, b), k in zip(pairs, kernels)])
     return float(w @ per_edge), per_edge, kernels
 
 
-def n_eff(n: int, alpha_coeffs, gamma: float = 1.0, c_gamma: float = 1.0) -> float:
-    """Effective sample size under alpha-mixing, Newey-West style."""
+def n_eff(n: int, alpha_coeffs) -> float:
+    """Effective sample size under alpha-mixing, Newey-West style:
+    n / (1 + 2 sum_k (1 - k/n) alpha_k^(1/3))."""
     if n < 1:
         raise ValueError("n must be >= 1")
     a = np.zeros(max(n - 1, 0))
@@ -255,19 +273,18 @@ def n_eff(n: int, alpha_coeffs, gamma: float = 1.0, c_gamma: float = 1.0) -> flo
     a[:take] = coeffs[:take]
     if np.any(a < 0):
         raise ValueError("alpha coefficients must be nonnegative")
-    expo = 1.0 if np.isinf(gamma) else gamma / (2.0 + gamma)
     k = np.arange(1, n)
-    denom = 1.0 + 2.0 * np.sum((1.0 - k / n) * c_gamma * a**expo)
+    denom = 1.0 + 2.0 * np.sum((1.0 - k / n) * a**MIXING_EXPONENT)
     return float(n / denom)
 
 
-def bartlett_alphas(series, max_lag: int | None = None) -> np.ndarray:
-    """Bartlett-windowed absolute autocorrelations; a plug-in mixing proxy."""
+def bartlett_alphas(series) -> np.ndarray:
+    """Bartlett-windowed absolute autocorrelations; a plug-in mixing proxy,
+    up to the lag floor(4 (n/100)^(2/9)) (at least 1)."""
     z = np.asarray(series, dtype=float)
     z = z - z.mean()
     n = z.size
-    if max_lag is None:
-        max_lag = max(1, int(np.floor(4 * (n / 100.0) ** (2.0 / 9.0))))
+    max_lag = max(1, int(np.floor(4 * (n / 100.0) ** (2.0 / 9.0))))
     denom = float(z @ z)
     if denom <= 0:
         return np.zeros(max_lag)
@@ -295,12 +312,6 @@ class ChainSeries:
             raise ValueError("sizes, values and neff must share a length")
 
 
-@dataclass(frozen=True)
-class GateThresholds:
-    slope_max: float = SLOPE_PASS
-    area_min: float = AREA_PASS
-
-
 @dataclass
 class GateDecision:
     slope_tail: float
@@ -313,16 +324,14 @@ class GateDecision:
     fir_l1: float = 0.0
 
 
-def fir_smoother(half_width: int = 6) -> np.ndarray:
-    """Symmetric FIR stencil reproducing polynomials up to degree 5.
+def fir_smoother() -> np.ndarray:
+    """Symmetric FIR stencil of half-width ``FIR_HALFWIDTH`` reproducing
+    polynomials up to degree 5.
 
     Least-norm solution of the moment conditions; by symmetry the odd moments
     vanish automatically, leaving r in {0, 2, 4}.
     """
-    q = half_width
-    if q < 3:
-        raise ValueError("half_width must be >= 3 for degree-5 exactness")
-    j = np.arange(-q, q + 1)
+    j = np.arange(-FIR_HALFWIDTH, FIR_HALFWIDTH + 1)
     rows = [j**0, j**2, j**4]
     Vm = np.asarray(rows, dtype=float)
     target = np.array([1.0, 0.0, 0.0])
@@ -341,29 +350,28 @@ def _apply_fir(y: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def tail_diagnostics(series: ChainSeries, tail_fraction: float = 0.1,
-                     window: int | None = None, fir_halfwidth: int = 6,
+def tail_diagnostics(series: ChainSeries,
                      envelope_direction: str = "nonincreasing"):
     """Monotone envelope -> FIR smooth -> tail median slope and area drop.
 
+    The tail is the last ``TAIL_FRACTION`` of the S sizes (at least the
+    slope window); the slope is the median of least-squares slopes over
+    sliding windows of max(2, floor(TAIL_FRACTION * S)) sizes.
     Returns (slope_tail, area_drop, smoothed, tail_indices, fir_l1).
     """
     S = series.sizes.size
-    if window is None:
-        window = max(2, int(np.floor(tail_fraction * S)))
-    if S < max(4, window):
+    if S < 4:
         raise ValueError("series too short for tail diagnostics")
+    window = max(2, int(np.floor(TAIL_FRACTION * S)))
     env = pav_isotonic(series.values, np.ones(S), direction=envelope_direction)
-    h = fir_smoother(fir_halfwidth)
+    h = fir_smoother()
     fir_l1 = float(np.abs(h).sum())
     if fir_l1 > FIR_L1_BOUND:
         raise AssertionError("FIR amplification bound exceeded")
     smooth = _apply_fir(env, h)
 
-    n_tail = max(window, int(np.ceil(tail_fraction * S)))
+    n_tail = max(window, int(np.ceil(TAIL_FRACTION * S)))
     tail = np.arange(S - n_tail, S)
-    if tail.size < window:
-        raise ValueError("tail shorter than the slope window")
     x = series.sizes
     slopes = []
     for s0 in range(tail[0], tail[-1] - window + 2):
@@ -384,16 +392,15 @@ def tail_diagnostics(series: ChainSeries, tail_fraction: float = 0.1,
     return slope_tail, area_drop, smooth, (int(tail[0]), int(tail[-1])), fir_l1
 
 
-def tolerance_band(S: int, delta: float, neff_tail, C: float = 1.0,
-                   x_tail=None):
-    """Concentration bands: per-point, slope and area, from n_eff and the
-    tail geometry."""
+def tolerance_band(S: int, delta: float, neff_tail, x_tail=None):
+    """Concentration bands: per-point sqrt(log(2S/delta) / n_eff), and the
+    slope and area bands from its maximum and the tail geometry."""
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     neff_tail = np.asarray(neff_tail, dtype=float)
     if np.any(neff_tail <= 0):
         raise ValueError("neff values must be positive")
-    per_point = C * np.sqrt(np.log(2.0 * S / delta) / neff_tail)
+    per_point = np.sqrt(np.log(2.0 * S / delta) / neff_tail)
     eps_max = float(per_point.max())
     if x_tail is None:
         x_tail = np.arange(1.0, neff_tail.size + 1)
@@ -406,20 +413,20 @@ def tolerance_band(S: int, delta: float, neff_tail, C: float = 1.0,
     return per_point, float(band_slope), float(band_area)
 
 
-def gate_v2(series: ChainSeries, thresholds: GateThresholds = GateThresholds(),
-            delta: float = 0.05, tail_fraction: float = 0.1,
-            window: int | None = None, fir_halfwidth: int = 6,
+def gate_v2(series: ChainSeries,
             envelope_direction: str = "nonincreasing") -> GateDecision:
-    """PASS iff |tail slope| and area drop clear their thresholds."""
+    """PASS iff |tail slope| <= ``SLOPE_PASS`` and area drop >= ``AREA_PASS``.
+
+    The tail diagnostics are ``tail_diagnostics``'s; the reported bands are
+    ``tolerance_band``'s at delta = ``BAND_DELTA`` over the tail.
+    """
     slope_tail, area_drop, smooth, tail_idx, fir_l1 = tail_diagnostics(
-        series, tail_fraction=tail_fraction, window=window,
-        fir_halfwidth=fir_halfwidth, envelope_direction=envelope_direction)
+        series, envelope_direction=envelope_direction)
     lo, hi = tail_idx
     _, band_slope, band_area = tolerance_band(
-        series.sizes.size, delta, series.neff[lo:hi + 1],
+        series.sizes.size, BAND_DELTA, series.neff[lo:hi + 1],
         x_tail=series.sizes[lo:hi + 1])
-    passed = (abs(slope_tail) <= thresholds.slope_max
-              and area_drop >= thresholds.area_min)
+    passed = abs(slope_tail) <= SLOPE_PASS and area_drop >= AREA_PASS
     return GateDecision(slope_tail=slope_tail, area_drop=area_drop,
                         band_slope=band_slope, band_area=band_area,
                         passed=bool(passed), tail_indices=tail_idx,

@@ -25,6 +25,9 @@ __all__ = [
 # C1 gate: the largest |ReLU net - CPWL interpolant| on the audit sample;
 # the compilation is exact, so only roundoff may remain
 RELU_MAXABS_PASS = 1e-8
+# the compiler's comparator tree is sized for vertex stars of at most this
+# many triangles; structured tensor meshes have at most 6
+MAX_VALENCE = 8
 
 
 @dataclass
@@ -35,7 +38,6 @@ class CpwlFunction:
     triangles: np.ndarray         # (M, 3) int
     nodal_values: np.ndarray      # (V,)
     axes: tuple[np.ndarray, np.ndarray] | None = None  # tensor-grid fast path
-    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -153,8 +155,8 @@ def _evaluate_tensor(axes, values, pts) -> np.ndarray:
     return out
 
 
-def triangulate_tensor_grid(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
-                            info: dict | None = None) -> CpwlFunction:
+def triangulate_tensor_grid(xs: np.ndarray, ys: np.ndarray,
+                            values: np.ndarray) -> CpwlFunction:
     """CPWL from values on a tensor grid (rows indexed by ys), ll->ur diagonals."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -170,8 +172,7 @@ def triangulate_tensor_grid(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
     v10, v01 = v00 + 1, v00 + nx
     v11 = v01 + 1
     tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
-    return CpwlFunction(vertices, tris, values.ravel(),
-                        axes=(xs, ys), info=info or {})
+    return CpwlFunction(vertices, tris, values.ravel(), axes=(xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +252,19 @@ def _interleave(a: np.ndarray, b: np.ndarray, with_b: np.ndarray) -> np.ndarray:
     return np.column_stack([a, b]).ravel()[keep]
 
 
-def compile_to_relu(f: CpwlFunction, d_max: int = 8, c3: float = 2.0) -> ReluNet:
+def compile_to_relu(f: CpwlFunction) -> ReluNet:
     """Exact depth-<=4 ReLU realization of a CPWL function.
 
-    Every vertex star must have valence <= d_max (raise otherwise); structured
-    tensor meshes always satisfy this with valence <= 6.
+    Every vertex star must have valence <= ``MAX_VALENCE`` (raise otherwise);
+    structured tensor meshes always satisfy this with valence <= 6.
     """
     V = f.n_vertices
     tris = f.triangles
     flat = tris.ravel()
     max_deg = int(np.bincount(flat, minlength=V).max())
-    if max_deg > d_max:
-        raise ValueError(
-            f"vertex valence {max_deg} exceeds d_max={d_max}; refine the mesh first")
+    if max_deg > MAX_VALENCE:
+        raise ValueError(f"vertex valence {max_deg} exceeds {MAX_VALENCE}; "
+                         "refine the mesh first")
 
     # Layer 1: all barycentric affine forms, grouped per vertex in increasing
     # triangle order.  Form (a, b, c) of vertex v in triangle t solves
@@ -332,7 +333,7 @@ def compile_to_relu(f: CpwlFunction, d_max: int = 8, c3: float = 2.0) -> ReluNet
     param_count = int(sum(layer.W.nnz + np.count_nonzero(layer.b)
                           for layer in layers))
     M = f.n_triangles
-    c1, c2 = 4.0, 30.0
+    c1, c2, c3 = 4.0, 30.0, 2.0
     constants = {
         "V": V, "M": M, "c1": c1, "c2": c2, "c3": c3,
         "param_bound": c1 * V + c2 * M,

@@ -1,5 +1,5 @@
 """Path-graph Laplacian, Dirichlet chain energy, and the projected stochastic
-descent harness with proximal pulls and trust-region rejection.
+descent harness with trust-region rejection.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ def chain_dirichlet_energy(states, graph: PathGraph) -> float:
 
 @dataclass(frozen=True)
 class DescentConfig:
-    alpha: float = 1.0
     eta0: float = 0.05
     noise_sigma: float = 0.0
     lambda_chain: float = 1.0
@@ -96,8 +95,6 @@ class DescentConfig:
     trust_region_rel: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.noise_sigma < 0 or self.lambda_chain < 0 or self.eta0 <= 0:
@@ -109,12 +106,12 @@ class DescentConfig:
 
 def projected_descent(initial_states, targets, graph: PathGraph,
                       projector, cfg: DescentConfig, seed: int = 0):
-    """Noisy gradient descent on data fit + chain energy with proximal pulls.
+    """Noisy projected gradient descent on data fit + chain energy.
 
     Each step: gradient of (0.5*||x - target||^2 + lambda_chain * Dirichlet)
     plus seeded Gaussian noise, Robbins-Monro step sizes eta0/(t+1), then the
-    proximal pull x <- (1-alpha) x + alpha P(x).  Steps that increase the
-    chain energy beyond the relative trust tolerance are rejected.
+    projection x <- P(x_try).  Steps that increase the chain energy beyond
+    the relative trust tolerance are rejected.
 
     Returns a trajectory list of dicts (step, chain_energy, data_fit,
     accepted) plus the final states, as (trajectory, states).
@@ -144,13 +141,12 @@ def projected_descent(initial_states, targets, graph: PathGraph,
         noise = (cfg.noise_sigma * rng.standard_normal(x.shape)
                  if cfg.noise_sigma > 0 else 0.0)
         x_try = x - eta * (grad + noise)
-        pulled = (1.0 - cfg.alpha) * x_try + cfg.alpha * _apply_projector(
-            projector, x_try, shape0)
-        e_new = chain_dirichlet_energy(pulled, graph)
+        x_new = _apply_projector(projector, x_try, shape0)
+        e_new = chain_dirichlet_energy(x_new, graph)
         e_old = traj[-1]["chain_energy"]
         accepted = e_new <= e_old * (1.0 + cfg.trust_region_rel) + 1e-300
         if accepted:
-            x = pulled
+            x = x_new
         traj.append({"step": t + 1, "chain_energy": e_new if accepted else e_old,
                      "data_fit": data_fit(x), "accepted": bool(accepted)})
     return traj, x.reshape(shape0)

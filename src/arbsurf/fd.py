@@ -10,13 +10,11 @@ operators are linear maps and are exposed as explicit stencil matrices;
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (AdmissibilityReport, Grid2D, WeightField, _as_values,
-                   _ls_derivative_row)
+from .grid import Grid2D, WeightField, _as_values, _ls_derivative_row
 
 __all__ = [
     "FdConfig",
@@ -114,18 +112,11 @@ def _stencils(grid: Grid2D, cfg: FdConfig) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def fd_derivatives(C, grid: Grid2D, cfg: FdConfig = FdConfig(),
-                   admissibility: AdmissibilityReport | None = None):
-    """Return (C_KK, C_tau) fields on the grid.
-
-    Passing a failed admissibility report warns but does not block.
-    """
+def fd_derivatives(C, grid: Grid2D, cfg: FdConfig = FdConfig()):
+    """Return (C_KK, C_tau) fields on the grid."""
     values = _as_values(C)
     if values.shape != grid.shape:
         raise ValueError("surface shape does not match grid shape")
-    if admissibility is not None and not admissibility.passed:
-        warnings.warn("mesh admissibility check failed; FD error bounds may not hold",
-                      stacklevel=2)
     SK, ST = _stencils(grid, cfg)
     c_kk = values @ SK.T
     c_tau = ST @ values
@@ -159,11 +150,12 @@ def dupire_total_variation(field: DupireField, w: WeightField) -> float:
 
 
 def weighted_operator_norm(D: np.ndarray, weights: np.ndarray,
-                           n_iter: int = 200, seed: int = 0) -> float:
-    """Operator norm of D on the diag(weights) inner product, by power iteration."""
+                           n_iter: int = 200) -> float:
+    """Operator norm of D on the diag(weights) inner product, by power
+    iteration from a seed-0 Gaussian start."""
     wsqrt = np.sqrt(np.asarray(weights, dtype=float))
     M = (D * (1.0 / wsqrt)[None, :]) * wsqrt[:, None]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(D.shape[1])
     v /= np.linalg.norm(v)
     for _ in range(n_iter):

@@ -28,6 +28,16 @@ __all__ = [
 ]
 
 
+# vega proxy: a Gaussian bump whose width is this share of the strike span,
+# plus a floor that keeps the wings strictly positive so kappa_W is finite
+VEGA_BUMP_WIDTH = 0.25
+VEGA_BUMP_FLOOR = 0.05
+# mesh check: curvature envelopes are this quantile of local quadratic fits
+# on windows of this many nodes
+MESH_WINDOW = 5
+MESH_QUANTILE = 0.10
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Rectangular (strike, maturity) mesh.
@@ -184,17 +194,12 @@ def uniform_weight(grid: Grid2D) -> WeightField:
     return WeightField(np.ones(grid.shape))
 
 
-def vega_bump_weight(grid: Grid2D, spot: float, width: float | None = None,
-                     floor: float = 0.05) -> WeightField:
-    """Gaussian-bump vega proxy centered at the money, unit mean.
-
-    The width defaults to 25% of the strike span.  ``floor`` keeps the wings
-    strictly positive so kappa_W stays finite.
-    """
+def vega_bump_weight(grid: Grid2D, spot: float) -> WeightField:
+    """Gaussian-bump vega proxy centered at the money, unit mean, of width
+    ``VEGA_BUMP_WIDTH`` of the strike span over a ``VEGA_BUMP_FLOOR``."""
     K = grid.strikes
-    if width is None:
-        width = 0.25 * (K[-1] - K[0])
-    bump = np.exp(-((K - spot) / width) ** 2) + floor
+    width = VEGA_BUMP_WIDTH * (K[-1] - K[0])
+    bump = np.exp(-((K - spot) / width) ** 2) + VEGA_BUMP_FLOOR
     w = np.tile(bump, (grid.maturities.size, 1))
     return WeightField(w / w.mean())
 
@@ -245,14 +250,13 @@ def _curvature_stencil(grid: Grid2D, axis: str, window: int) -> np.ndarray:
 
 
 def check_mesh_admissibility(C: Surface, grid: Grid2D, c1: float = 1.0,
-                             c2: float = 1.0, window: int = 5,
-                             quantile: float = 0.10) -> AdmissibilityReport:
+                             c2: float = 1.0) -> AdmissibilityReport:
     """Check h_K and h_tau against robust lower envelopes of local curvature.
 
-    The strike envelope is the ``quantile`` of per-node local quadratic
-    curvature estimates in K; the maturity envelope likewise for the
-    term-structure second differences in tau.  A FAIL is reported, never
-    raised.
+    The strike envelope is the ``MESH_QUANTILE`` of per-node local quadratic
+    curvature estimates in K on ``MESH_WINDOW`` nodes; the maturity envelope
+    likewise for the term-structure second differences in tau.  A FAIL is
+    reported, never raised.
     """
     values = _as_values(C)
     if values.shape != grid.shape:
@@ -261,12 +265,13 @@ def check_mesh_admissibility(C: Surface, grid: Grid2D, c1: float = 1.0,
     if n_K < 3 or n_tau < 3:
         raise ValueError("too few nodes for local quadratic fits")
 
-    curv_K = values @ _curvature_stencil(grid, "strikes", window).T
+    curv_K = values @ _curvature_stencil(grid, "strikes", MESH_WINDOW).T
     curv_tau = _curvature_stencil(
-        grid, "maturities", min(window, n_tau if n_tau % 2 else n_tau - 1)) @ values
+        grid, "maturities",
+        min(MESH_WINDOW, n_tau if n_tau % 2 else n_tau - 1)) @ values
 
-    env_K = float(np.quantile(np.abs(curv_K), quantile))
-    env_tau = float(np.quantile(np.abs(curv_tau), quantile))
+    env_K = float(np.quantile(np.abs(curv_K), MESH_QUANTILE))
+    env_tau = float(np.quantile(np.abs(curv_tau), MESH_QUANTILE))
     bound_K = c1 * env_K
     bound_tau = c2 * env_tau
 

@@ -127,9 +127,11 @@ class RunConfig(dict):
 
     def __init__(self, user: dict | None = None):
         super().__init__(_merge_config(user))
-        if self["chain"]["n_maturities_used"] < 2:
-            raise ValueError("config key '/chain/n_maturities_used' must be "
-                             "at least 2: the chain gate compares maturities")
+        n_mat, n_k = self["grid"]["n_maturities"], self["grid"]["n_strikes"]
+        if not 2 <= self["chain"]["n_maturities_used"] <= n_mat:
+            raise ValueError(f"config key '/chain/n_maturities_used' must lie "
+                             f"in [2, {n_mat}]: the chain gate compares "
+                             "maturities of the grid")
         sizes = self["chain"]["sizes"]
         if (len(sizes) < 4 or min(sizes) < 2
                 or any(b <= a for a, b in zip(sizes, sizes[1:]))):
@@ -137,7 +139,6 @@ class RunConfig(dict):
                              "strictly increasing sizes, each at least 2: the "
                              "gate reads a tail of the series, and each MMD^2 "
                              "needs 2 samples per cloud")
-        n_mat, n_k = self["grid"]["n_maturities"], self["grid"]["n_strikes"]
         if not 1 <= self["bridge"]["triad_center"] <= n_mat - 2:
             raise ValueError(f"config key '/bridge/triad_center' must lie in "
                              f"[1, {n_mat - 2}]: the bridge's triad is the "
@@ -376,7 +377,7 @@ class PipelineContext:
         cfg = self.config
         cc = cfg["chain"]
         grid: Grid2D = self.art["grid"]
-        n_mat = min(cc["n_maturities_used"], grid.maturities.size)
+        n_mat = cc["n_maturities_used"]
         tau_idx = np.linspace(0, grid.maturities.size - 1, n_mat).round().astype(int)
         densities = [extract_density(self.art["C_proj"], grid, int(i))[0]
                      for i in tau_idx]

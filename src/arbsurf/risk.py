@@ -14,20 +14,7 @@ import numpy as np
 
 from .grid import Grid2D, WeightField, weighted_norm
 
-__all__ = ["RiskConstants", "RiskBudget", "eps_prox", "assemble_risk"]
-
-
-@dataclass(frozen=True)
-class RiskConstants:
-    """Bound constants, calibrated once on a reference run and then frozen."""
-
-    c_appr: float = 1.0
-    c_erm: float = 1.0
-    c_br1: float = 1.0
-    c_br2: float = 1.0
-    c3: float = 1.0
-    c_ch: float = 1.0
-    c_spec: float = 1.0
+__all__ = ["RiskBudget", "eps_prox", "assemble_risk"]
 
 
 @dataclass
@@ -68,8 +55,13 @@ def eps_prox(C_pre, C_post, C_target, w: WeightField,
     return float(weighted_norm(post - pre, w, grid) / denom)
 
 
-def assemble_risk(inputs: dict, constants: RiskConstants = RiskConstants()) -> RiskBudget:
+def assemble_risk(inputs: dict) -> RiskBudget:
     """Assemble the five multiplicative risk factors from stage outputs.
+
+    Every bound constant is 1: e_c1 = 1 + c1_error + c1_stat,
+    e_erm = 1 + erm_term, e_bridge = 1 + (kkt + r_geo^T)/mu_hat + eps
+    + delta_mr, and e_chain = 1 + min(chain_energy + tol_band,
+    (max(slope_plus, 0) + max(area_minus, 0))/lambda2 + tol_band).
 
     Required inputs: c1_error, c1_stat, erm_term, kkt, r_geo, T, mu_hat, eps,
     delta_mr, chain_energy, tol_band, lambda2, slope_plus, area_minus,
@@ -89,14 +81,13 @@ def assemble_risk(inputs: dict, constants: RiskConstants = RiskConstants()) -> R
     if vals["lambda2"] <= 0:
         raise ValueError("lambda2 must be positive")
 
-    e_c1 = 1.0 + constants.c_appr * vals["c1_error"] + vals["c1_stat"]
-    e_erm = 1.0 + constants.c_erm * vals["erm_term"]
+    e_c1 = 1.0 + vals["c1_error"] + vals["c1_stat"]
+    e_erm = 1.0 + vals["erm_term"]
     e_bridge = (1.0
-                + (constants.c_br1 * vals["kkt"]
-                   + constants.c_br2 * vals["r_geo"] ** vals["T"]) / vals["mu_hat"]
-                + constants.c3 * (vals["eps"] + vals["delta_mr"]))
-    chain_direct = constants.c_ch * (vals["chain_energy"] + vals["tol_band"])
-    chain_spectral = (constants.c_spec / vals["lambda2"]
+                + (vals["kkt"] + vals["r_geo"] ** vals["T"]) / vals["mu_hat"]
+                + (vals["eps"] + vals["delta_mr"]))
+    chain_direct = vals["chain_energy"] + vals["tol_band"]
+    chain_spectral = (1.0 / vals["lambda2"]
                       * (max(vals["slope_plus"], 0.0)
                          + max(vals["area_minus"], 0.0))
                       + vals["tol_band"])

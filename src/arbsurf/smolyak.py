@@ -21,10 +21,13 @@ __all__ = [
     "AnisotropyConfig",
     "build_index_set",
     "combination_coefficients",
-    "activated_nodes",
     "smolyak_fit",
     "error_frontier",
 ]
+
+# the error frontier measures each level on a dense grid of this many
+# (x, y) points
+HELDOUT_SHAPE = (97, 89)
 
 
 @dataclass(frozen=True)
@@ -86,23 +89,6 @@ def combination_coefficients(index_set) -> dict[tuple[int, int], int]:
 
 def _axis_points(level: int, lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, 2**level + 1)
-
-
-def activated_nodes(cfg: AnisotropyConfig, domain) -> np.ndarray:
-    """Union of the hierarchical-increment tensor nodes over the index set."""
-    (x0, x1), (y0, y1) = domain
-    seen = set()
-    pts = []
-    for (i, j) in build_index_set(cfg):
-        xs = _axis_points(i, x0, x1)
-        ys = _axis_points(j, y0, y1)
-        for x in xs:
-            for y in ys:
-                key = (round(float(x), 14), round(float(y), 14))
-                if key not in seen:
-                    seen.add(key)
-                    pts.append((x, y))
-    return np.asarray(pts)
 
 
 def _bilinear_eval(xs, ys, vals, px, py):
@@ -181,39 +167,29 @@ def smolyak_fit(target, cfg: AnisotropyConfig, domain) -> CpwlFunction:
     xs = _axis_points(i_max, x0, x1)
     ys = _axis_points(j_max, y0, y1)
     XX, YY = np.meshgrid(xs, ys)
-    values = comb(XX, YY)
-    info = {
-        "index_set": index_set,
-        "level_L": cfg.level_L,
-        "activated_node_count": int(activated_nodes(cfg, domain).shape[0]),
-        "combination": comb,
-    }
-    return triangulate_tensor_grid(xs, ys, values, info=info)
+    return triangulate_tensor_grid(xs, ys, comb(XX, YY))
 
 
 def error_frontier(target, levels, cfg: AnisotropyConfig, domain,
-                   heldout_shape: tuple[int, int] = (97, 89),
-                   weight=None, compile_nets: bool = True,
+                   compile_nets: bool = True,
                    fits: dict | None = None) -> list[dict]:
     """Error/parameter/time frontier across levels.
 
     One row per level: level, node_count (CPWL vertices), param_count,
-    weighted_error on a held-out dense grid, wall_seconds.  ``fits`` maps a
-    level to an interpolant already built from the same target and config;
-    that level reuses it, and its wall_seconds then counts only the work
-    done here.
+    weighted_error (the trapezoid L2 error on a held-out ``HELDOUT_SHAPE``
+    grid), wall_seconds.  ``fits`` maps a level to an interpolant already
+    built from the same target and config; that level reuses it, and its
+    wall_seconds then counts only the work done here.
     """
     levels = list(levels)
     if not levels or sorted(levels) != levels:
         raise ValueError("levels must be a nonempty ascending list")
     (x0, x1), (y0, y1) = domain
-    hx = np.linspace(x0, x1, heldout_shape[0])
-    hy = np.linspace(y0, y1, heldout_shape[1])
+    hx = np.linspace(x0, x1, HELDOUT_SHAPE[0])
+    hy = np.linspace(y0, y1, HELDOUT_SHAPE[1])
     HX, HY = np.meshgrid(hx, hy)
     ref = np.asarray(target(HX, HY), dtype=float)
     wq = np.outer(trapezoid_weights(hy), trapezoid_weights(hx))
-    if weight is not None:
-        wq = wq * np.asarray(weight(HX, HY), dtype=float)
     pts = np.column_stack([HX.ravel(), HY.ravel()])
 
     rows = []

@@ -31,6 +31,9 @@ __all__ = [
     "sample_clouds",
 ]
 
+# curvature masses at or below this are dropped from an extracted density
+DENSITY_CLIP = 1e-12
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -182,18 +185,19 @@ def generate_surface(params: MarketParams, grid: Grid2D):
 
 
 def extract_density(C, grid: Grid2D, tau_index: int,
-                    fd: FdConfig = FdConfig(), clip: float = 1e-12):
+                    fd: FdConfig = FdConfig()):
     """Risk-neutral strike density at one maturity from price curvature.
 
-    Trapezoid node masses of the curvature row, tiny negatives clipped,
-    renormalized to sum 1.  Returns (density, renormalization_factor).
+    Trapezoid node masses of the curvature row, those at or below
+    ``DENSITY_CLIP`` set to 0, renormalized to sum 1.  Returns (density,
+    renormalization_factor).
     """
     from .grid import _as_values, trapezoid_weights
     values = _as_values(C)
     c_kk, _ = fd_derivatives(values, grid, fd)
     row = c_kk[tau_index]
     mass = row * trapezoid_weights(grid.strikes)
-    mass = np.where(mass > clip, mass, 0.0)
+    mass = np.where(mass > DENSITY_CLIP, mass, 0.0)
     total = mass.sum()
     if total <= 0:
         raise ValueError("degenerate density: no positive curvature mass")

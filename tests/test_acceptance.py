@@ -283,7 +283,7 @@ def test_criterion_11_gate_v2():
     assert d.passed
     assert abs(d.slope_tail) <= d.band_slope + 1e-12
 
-    h = fir_smoother(6)
+    h = fir_smoother()
     j = np.arange(-6, 7).astype(float)
     for r in range(6):
         assert np.sum(h * j**r) == pytest.approx(1.0 if r == 0 else 0.0,
@@ -318,8 +318,8 @@ def test_criterion_12_chain_decay():
 
     g = path_laplacian(3, [1.0, 1.0])
     traj, _ = projected_descent(np.array([2.0, -1.0, 0.5]), None, g, None,
-                                DescentConfig(alpha=1.0, noise_sigma=0.0,
-                                              steps=300, eta0=0.2), seed=0)
+                                DescentConfig(noise_sigma=0.0, steps=300,
+                                              eta0=0.2), seed=0)
     es = [r["chain_energy"] for r in traj]
     assert all(b <= a + 1e-15 for a, b in zip(es, es[1:]))
     wall = time.perf_counter() - t0

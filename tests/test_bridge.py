@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
-from arbsurf.bridge import (BridgeState, TriMarginalProblem, _logsumexp,
+from arbsurf.bridge import (GRAM_RIDGE, BridgeState, TriMarginalProblem,
+                            _logsumexp,
                             build_bridge, certify, coupling_pairwise,
                             dual_value, kkt_residual, primal_value,
                             tri_sinkhorn)
@@ -271,9 +272,8 @@ def test_muhat_identity_features():
     state = BridgeState(np.zeros(n), np.zeros(n), np.zeros(n), 0.0, 1.0)
     state.stage_traces = [[(0.1,) * 5, (0.05,) * 5]]
     state.residual_trace = state.stage_traces[0]
-    ridge = 1e-6
-    certs = certify(state, prob, kern, ridge=ridge)
-    assert certs.mu_hat == pytest.approx(2.0 / n + ridge, abs=1e-10)
+    certs = certify(state, prob, kern)
+    assert certs.mu_hat == pytest.approx(2.0 / n + GRAM_RIDGE, abs=1e-10)
 
 
 def test_certify_trace_too_short():

@@ -161,7 +161,7 @@ def test_single_point_evaluate_equals_one_shot_pass():
 
 
 def test_valence_above_dmax_raises():
-    # a fan of 9 triangles around one hub exceeds d_max = 8
+    # a fan of 9 triangles around one hub exceeds MAX_VALENCE = 8
     hub = np.array([[0.0, 0.0]])
     spokes = np.array([[np.cos(t), np.sin(t)]
                        for t in np.linspace(0, 1.8 * np.pi, 10)])
@@ -169,7 +169,7 @@ def test_valence_above_dmax_raises():
     tris = np.array([[0, i, i + 1] for i in range(1, 10)])
     f = CpwlFunction(verts, tris, np.zeros(verts.shape[0]))
     with pytest.raises(ValueError):
-        compile_to_relu(f, d_max=8)
+        compile_to_relu(f)
 
 
 def test_relu_net_json_roundtrip():

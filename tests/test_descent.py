@@ -107,8 +107,8 @@ def test_stationary_trajectory():
 
 def test_noiseless_chain_descent_monotone():
     g = path_laplacian(3, [1.0, 1.0])
-    cfg = DescentConfig(alpha=1.0, lambda_chain=1.0, noise_sigma=0.0,
-                        steps=400, eta0=0.25)
+    cfg = DescentConfig(lambda_chain=1.0, noise_sigma=0.0, steps=400,
+                        eta0=0.25)
     traj, _ = projected_descent(np.array([2.0, -1.0, 0.5]), None, g, None,
                                 cfg, seed=0)
     es = [r["chain_energy"] for r in traj]
@@ -179,8 +179,6 @@ def test_noise_floor_scales_with_sigma():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DescentConfig(alpha=0.0)
     with pytest.raises(ValueError):
         DescentConfig(steps=0)
     with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbsurf.grid import (Grid2D, Surface, WeightField, check_mesh_admissibility,
+from arbsurf.grid import (MESH_QUANTILE, MESH_WINDOW, Grid2D, Surface,
+                          WeightField, check_mesh_admissibility,
                           quadrature_matrix, trapezoid_weights, uniform_weight,
                           unweighted_norm, vega_bump_weight, weighted_inner,
                           weighted_norm)
@@ -172,9 +173,10 @@ def test_curvature_stencils_match_polyfit_loop(shape, window):
     assert _curvature_stencil(g, "strikes", window) is SK
     with pytest.raises(ValueError):
         SK[0, 0] = 1.0
-    report = check_mesh_admissibility(Surface(values, g, is_price=False), g,
-                                      window=window)
-    assert report.envelope_K == np.quantile(np.abs(values @ SK.T), 0.10)
+    # the mesh check reads the strike stencil at its own window
+    report = check_mesh_admissibility(Surface(values, g, is_price=False), g)
+    S5 = _curvature_stencil(g, "strikes", MESH_WINDOW)
+    assert report.envelope_K == np.quantile(np.abs(values @ S5.T), MESH_QUANTILE)
 
 
 def test_admissibility_degenerate_mesh_errors():

@@ -40,8 +40,10 @@ BAD_CONFIGS = [
     {"chain": {"sizes": ["a", "b"]}},
     {"smolyak": {"frontier_levels": ["x"]}},
     {"chain": {"sizes": [60.5, 90]}},
-    # the chain needs two maturities to have an edge
+    # the chain needs two maturities to have an edge, and uses the grid's
     {"chain": {"n_maturities_used": 1}},
+    {"chain": {"n_maturities_used": 50}},
+    {"grid": {"n_maturities": 7}, "chain": {"n_maturities_used": 8}},
     # keys that restated a library default and no longer exist
     {"thresholds": {"kkt": 0.24}},
     {"risk": {"c_appr": 1.0}},

@@ -1,13 +1,17 @@
-"""Every public function is used by the package or a demo.
+"""Every public function is used, and every public default is set, by the
+package or a demo.
 
 A function in a module's ``__all__`` under ``src/arbsurf`` must be called
 from ``src/arbsurf`` outside its own definition, or from a demo.  Functions
-that only tests call are deleted rather than kept as public API; the
-exceptions below each name why the function stays, and each must still be
-needed.
+that only tests call are deleted rather than kept as public API.  Likewise a
+parameter with a default, of a public function or a public frozen
+dataclass, must be passed by some call there: one that only its default
+reaches is a module constant instead.  The exceptions below each name why
+the function or parameter stays, and each must still be needed.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -37,14 +41,20 @@ def _calls(path: Path):
                     yield owner, fn.attr
 
 
-def _public_functions():
+def _public_objects():
+    """(module path, name, object) for every name in a module's ``__all__``."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "__init__":
             continue
         mod = importlib.import_module(f"arbsurf.{path.stem}")
         for name in getattr(mod, "__all__", ()):
-            if inspect.isfunction(getattr(mod, name)):
-                yield path, name
+            yield path, name, getattr(mod, name)
+
+
+def _public_functions():
+    for path, name, obj in _public_objects():
+        if inspect.isfunction(obj):
+            yield path, name
 
 
 def test_every_public_function_is_used_outside_tests():
@@ -58,3 +68,95 @@ def test_every_public_function_is_used_outside_tests():
     assert sorted(unused - set(EXCEPTIONS)) == []
     # an exception whose function has found a caller is dropped from the list
     assert sorted(set(EXCEPTIONS) - unused) == []
+
+
+# parameters no package or demo call sets, each kept because a test needs a
+# second value
+DEFAULT_EXCEPTIONS = {
+    "tri_sinkhorn.t_max": "the oracle tests solve to 1e-11, past the default "
+                          "sweep budget",
+    "tri_sinkhorn.update_middle": "the shadow-price tests free the middle "
+                                  "marginal, where the rhs sensitivity is "
+                                  "well posed",
+    "dual_value.st": "the dual-ascent test reads the dual at the stage of "
+                     "every sweep",
+    "primal_value.st": "the primal side of the duality-gap oracle takes the "
+                       "same stage argument as dual_value",
+    "gate_v2.envelope_direction": "the chain gate's negative control: linear "
+                                  "growth under a nondecreasing envelope "
+                                  "fails",
+    "DescentConfig.trust_region_rel": "the noise-floor test switches the "
+                                      "trust region off",
+    "FdConfig.window_K": "the density and stencil tests use 3- and 7-point "
+                         "windows",
+    "FdConfig.window_tau": "the density and stencil tests use 3- and 5-point "
+                           "windows",
+    "FdConfig.clip_lo": "the Dupire clip, whose validation is tested and "
+                        "which the Dupire certificate rework keeps",
+    "FdConfig.clip_hi": "the Dupire clip, whose validation is tested and "
+                        "which the Dupire certificate rework keeps",
+    "FdConfig.denom_floor": "the Dupire denominator floor, whose validation "
+                            "is tested and which the rework keeps",
+    "projection_certificates.grid": "the certificate tests pass raw arrays "
+                                    "with their grid",
+    "extract_density.fd": "the tiny-grid density test needs 3-point windows",
+}
+
+
+def _passed(path: Path):
+    """(called name, number of leading positional arguments, keyword names)
+    per call.  The positional count stops at a ``*args``; ``**config[section]``
+    passes the keys of that DEFAULT_CONFIG section."""
+    from arbsurf.pipeline import DEFAULT_CONFIG
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+        n_args = next((i for i, a in enumerate(node.args)
+                       if isinstance(a, ast.Starred)), len(node.args))
+        keys = set()
+        for kw in node.keywords:
+            if kw.arg is not None:
+                keys.add(kw.arg)
+                continue
+            section = getattr(kw.value, "slice", None)
+            assert isinstance(section, ast.Constant), \
+                f"{path.name}:{node.lineno}: **kwargs hides what it passes"
+            keys |= set(DEFAULT_CONFIG[section.value])
+        yield name, n_args, keys
+
+
+def _public_defaults():
+    """(qualified name, parameter name, its position) of every parameter with
+    a default of a public function, and every defaulted init field of a
+    public frozen dataclass; the position is None for a keyword-only one."""
+    for _, name, obj in _public_objects():
+        if inspect.isfunction(obj):
+            params = [p for p in inspect.signature(obj).parameters.values()
+                      if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+            for pos, p in enumerate(params):
+                if p.default is not p.empty:
+                    yield name, p.name, (None if p.kind == p.KEYWORD_ONLY
+                                         else pos)
+        elif (dataclasses.is_dataclass(obj)
+              and obj.__dataclass_params__.frozen):
+            fields = [f for f in dataclasses.fields(obj) if f.init]
+            for pos, f in enumerate(fields):
+                if (f.default is not dataclasses.MISSING
+                        or f.default_factory is not dataclasses.MISSING):
+                    yield name, f.name, pos
+
+
+def test_every_public_default_is_set_outside_tests():
+    calls = [c for path in sorted(PACKAGE.glob("*.py"))
+             + sorted((ROOT / "demos").glob("*.py")) for c in _passed(path)]
+    unset = set()
+    for owner, param, pos in _public_defaults():
+        if not any(called == owner and (param in keys
+                                        or (pos is not None and pos < n_args))
+                   for called, n_args, keys in calls):
+            unset.add(f"{owner}.{param}")
+    assert sorted(unset - set(DEFAULT_EXCEPTIONS)) == []
+    # an exception whose parameter has found a caller is dropped from the dict
+    assert sorted(set(DEFAULT_EXCEPTIONS) - unset) == []

@@ -3,7 +3,7 @@ import pytest
 
 from arbsurf.grid import Grid2D, Surface, uniform_weight
 from arbsurf.projection import project_to_cone
-from arbsurf.risk import RiskConstants, assemble_risk, eps_prox
+from arbsurf.risk import assemble_risk, eps_prox
 
 
 def _inputs(**over):
@@ -37,7 +37,7 @@ def test_log_identity_random_factors():
 
 
 def test_bridge_factor_hand_value():
-    # (kkt + r_geo^T)/mu_hat + c3 (eps + delta) with unit constants
+    # (kkt + r_geo^T)/mu_hat + (eps + delta): every bound constant is 1
     budget = assemble_risk(_inputs(kkt=0.24, r_geo=0.9, T=50, mu_hat=0.01,
                                    eps=0.03, delta_mr=0.01))
     expect = 1.0 + (0.24 + 0.9**50) / 0.01 + 1.0 * (0.03 + 0.01)

@@ -1,4 +1,5 @@
-"""Shared brute-force oracles for the projection and ReLU-compiler tests."""
+"""Shared brute-force oracles for the projection, ReLU-compiler and
+sparse-grid tests."""
 
 import numpy as np
 from scipy import sparse
@@ -7,6 +8,7 @@ from scipy.optimize import nnls
 from arbsurf import cpwl
 from arbsurf.grid import quadrature_matrix
 from arbsurf.projection import _second_difference_matrix
+from arbsurf.smolyak import build_index_set
 
 
 def full_cone_matrix(grid, nonneg=True):
@@ -147,3 +149,19 @@ def dict_compile_to_relu(f, d_max=8, c3=2.0):
         raise AssertionError("parameter count exceeded the compile-time bound")
     return cpwl.ReluNet(layers=layers, depth=depth, param_count=param_count,
                    constants=constants)
+
+
+def activated_nodes(cfg, domain):
+    """Union of the hierarchical-increment tensor nodes over the index set,
+    the points a sparse-grid interpolant must reproduce exactly."""
+    (x0, x1), (y0, y1) = domain
+    seen = set()
+    pts = []
+    for (i, j) in build_index_set(cfg):
+        for x in np.linspace(x0, x1, 2**i + 1):
+            for y in np.linspace(y0, y1, 2**j + 1):
+                key = (round(float(x), 14), round(float(y), 14))
+                if key not in seen:
+                    seen.add(key)
+                    pts.append((x, y))
+    return np.asarray(pts)
