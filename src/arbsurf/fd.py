@@ -123,8 +123,10 @@ def fd_derivatives(C, grid: Grid2D, cfg: FdConfig = FdConfig()):
     return c_kk, c_tau
 
 
-def dupire_field(C, grid: Grid2D, cfg: FdConfig = FdConfig()) -> DupireField:
-    """Local variance 2*C_tau / (K^2 * C_KK) with denominator floor and clipping."""
+def dupire_field(C, grid: Grid2D) -> DupireField:
+    """Local variance 2*C_tau / (K^2 * C_KK) with the denominator floor and
+    clipping of ``FdConfig()``."""
+    cfg = FdConfig()
     c_kk, c_tau = fd_derivatives(C, grid, cfg)
     denom = grid.strikes[None, :] ** 2 * c_kk
     floored = denom < cfg.denom_floor

@@ -17,7 +17,11 @@ for half-spaces the dual problem is the one Hildreth's method solves):
 Where rounding is larger than 1e-10 (large prices or multipliers) the
 tolerance is 1e-12 times the magnitude of the terms summed into the
 constraint's value.  A result that fails the certificate raises
-``RuntimeError``.
+``RuntimeError``.  A result that passes also carries an upper bound e on its
+distance to the exact projection, read from the duality gap of its
+multipliers (``_error_bound``): since the exact projection is nonexpansive
+(Bauschke and Combettes 2017, Prop. 4.16), two certified results are at most
+``e(a) + e(b)`` farther apart than their inputs.
 
 The dual problem, minimise ``q(lam) = 1/2 ||v + S^T lam||^2`` over
 ``lam >= 0`` in scaled coordinates, is solved by one loop (``_solve_dual``)
@@ -35,6 +39,7 @@ Gram matrix is block diagonal): ``project_to_cone`` is the stack of one,
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -43,7 +48,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .fd import FdConfig, dupire_field, dupire_total_variation
+from .fd import dupire_field, dupire_total_variation
 from .grid import Grid2D, Surface, WeightField, quadrature_matrix, weighted_norm
 
 __all__ = [
@@ -74,17 +79,26 @@ _NEWTON_STEPS = 5000
 # geometrically in rank so that the first few are all tried
 _BREAKPOINTS = 32
 # members per stacked solve in projection_certificates, even so that each
-# perturbation pair lies in one stack.  The stack's transient arrays set
-# the process's memory high-water mark, and the largest are gram_band's: at
-# 31x11 a 16-member working set of 3254 rows has a band of 23 x 3254
-# doubles (0.6 MB) and int64 index arrays (nbr, d, i, j) of 0.2 MB each,
-# 1.4 MB above the step and 2.6 MB for the 400-member certificate
+# audited perturbation pair lies in one stack.  The stack's transient
+# arrays set the process's memory high-water mark, and the largest are
+# gram_band's: at 31x11 a 16-member working set of 3254 rows has a band of
+# 23 x 3254 doubles (0.6 MB) and int64 index arrays (nbr, d, i, j) of 0.2 MB
+# each, 1.4 MB above the step and 2.6 MB for an audit of 200 pairs
 # (tracemalloc).  8 members halve that with no time difference the 2-core
 # Xeon resolves (certificate time ratio 8/16 of 0.85-1.2 per run over the
 # 5 ref31 markets); stacks of 4 were 18-46% slower
 _STACK = 8
-# C3 gate: the empirical Lipschitz ratio of the projection may exceed 1 by
-# no more than rounding and the 1% perturbation scale allow
+# relative rounding of the quantities the error bound reads, against the
+# magnitude of the terms summed into each (first order, Higham 2002,
+# "Accuracy and Stability of Numerical Algorithms", ch. 3): a constraint's
+# value sums 3 products whose coefficients are rounded 3 times (6 unit
+# roundoffs), a point sums its input and at most 6 rows per node (7), and
+# x = u / sqrt(omega) and v = sqrt(omega) x round once each.  16 unit
+# roundoffs cover the largest with room for the second-order terms
+_ROUND = 16 * 2.0**-53
+# C3 gate: the certified Lipschitz ratio of the computed projection over the
+# audited pairs, 1 + 2 max(e) / (smallest pair distance), may exceed 1 by no
+# more than 1%
 LIP_PASS = 1.01
 
 
@@ -100,10 +114,19 @@ class ProjectionCertificates:
     * ``factor_reuses``: the trials served by a factor made for another
       member of the stack or kept from an earlier step;
     * ``safeguard_steps``: of the steps, those that went on to a safeguard
-      descent step (``_safeguard``), whose solves are not counted above.
+      descent step (``_safeguard``), whose solves are not counted above;
+    * ``error_max``: the largest error bound e of the projections.
+
+    ``lip_certified`` is ``1 + 2 * projections["error_max"] /
+    pair_distance_min``: the exact projection is nonexpansive, so no audited
+    pair of computed projections is farther apart than that ratio times its
+    inputs' distance.
+    ``lip_emp`` is the largest ratio the audit measured.
     """
 
     lip_emp: float
+    lip_certified: float
+    pair_distance_min: float
     dup_ok: bool
     dup_tv_path: np.ndarray = field(default_factory=lambda: np.array([]))
     projections: dict = field(default_factory=dict)
@@ -121,7 +144,8 @@ class ProjectionWarmStart:
     (``key``).  The active set changes the result by rounding at most, the
     reuse not at all.  ``prepared`` maps the bytes of an input to its
     projection made by a stacked solve (``projection_certificates``).  The
-    counters are those of ``ProjectionCertificates.projections``.
+    counters are those of ``ProjectionCertificates.projections``;
+    ``error_max`` is the largest error bound of the sequence's projections.
     """
 
     key: object = None
@@ -132,11 +156,13 @@ class ProjectionWarmStart:
     newton_steps: int = 0
     factor_reuses: int = 0
     safeguard_steps: int = 0
+    error_max: float = 0.0
 
     def counters(self) -> dict:
         return {"calls": self.calls, "newton_steps": self.newton_steps,
                 "factor_reuses": self.factor_reuses,
-                "safeguard_steps": self.safeguard_steps}
+                "safeguard_steps": self.safeguard_steps,
+                "error_max": self.error_max}
 
 
 def pav_isotonic(seq, weights, direction: str = "nondecreasing") -> np.ndarray:
@@ -242,6 +268,7 @@ class _Cone:
         self.sqrt_omega = np.sqrt(omega.ravel())
         coef = coef * np.append(1.0 / self.sqrt_omega, 0.0)[cols]
         self.nu = np.sqrt(np.sum(coef**2, axis=1))
+        self._floors = {tol: tol / self.nu for tol in (_FEAS_TOL, _ADD_TOL)}
         self.cols, self.coef = cols, coef / self.nu[:, None]
         self.abs_coef = np.abs(self.coef)
 
@@ -274,6 +301,27 @@ class _Cone:
         self.gval_lower = np.zeros(self.nbr_lower.shape)
         self.nbr_lower[r, slot] = G.indices[keep]
         self.gval_lower[r, slot] = G.data[keep]
+        # a direction z strictly inside the cone: 1 + tau + r^2, with r the
+        # strike mapped onto [-1, 1], rises in maturity, is convex in strike
+        # and positive, so every row of S z is positive; kept as bounds that
+        # hold through rounding.  Centring the parabola makes its curvature
+        # larger for its size than (K / K_max)^2 would, and the error bounds
+        # of the default run 3x smaller
+        K, T = np.meshgrid(grid.strikes, grid.maturities)
+        k_lo, k_hi = grid.strikes[0], grid.strikes[-1]
+        r = (2.0 * K - k_lo - k_hi) / (k_hi - k_lo)
+        z = self.scale((1.0 + T + r**2).reshape(1, -1))
+        Sz, spread = self.values(z)[0], _ROUND * self.rounding(z)[0]
+        self.interior = Sz + spread
+        self.interior_min = float((Sz - spread).min())
+        self.interior_norm = float(np.linalg.norm(z)) * (1.0 + _ROUND)
+        if not self.interior_min > 0:
+            raise ValueError("the grid's cone has no interior direction")
+        # each node's magnitude |v_j| + (|S^T| lam)_j is at most terms_i /
+        # |S_ij| for every row i that touches it, so the norm of that
+        # vector, which bounds ||v|| and ||u||, is at most this factor times
+        # the largest rounding term
+        self.spread_per_term = float(np.sqrt(n) / self.abs_coef_t[:n].max(axis=1).min())
 
     def scale(self, X: np.ndarray) -> np.ndarray:
         """Scaled coordinates ``sqrt(omega) * x`` of each row of X, with the
@@ -306,9 +354,10 @@ class _Cone:
     def threshold(self, absolute: float, relative: float,
                   terms: np.ndarray) -> np.ndarray:
         """Per-row threshold on the scaled values: ``absolute`` price units
-        in scaled units, or ``relative`` times the rounding terms, whichever
-        is larger."""
-        return np.maximum(absolute / self.nu, relative * terms)
+        (``_FEAS_TOL`` or ``_ADD_TOL``, scaled once per cone) in scaled
+        units, or ``relative`` times the rounding terms, whichever is
+        larger."""
+        return np.maximum(self._floors[absolute], relative * terms)
 
     def combine(self, L: np.ndarray) -> np.ndarray:
         """``S^T lam`` for each row lam of L (one member each), with the
@@ -617,9 +666,42 @@ def _solve_dual(cone: _Cone, V: np.ndarray, B: np.ndarray,
         "steps")
 
 
+def _error_bound(cone: _Cone, lam: np.ndarray, s: np.ndarray,
+                 terms: np.ndarray) -> float:
+    """Upper bound e on the Omega-distance from the point u of multipliers
+    ``lam >= 0`` (``s`` and ``terms`` are ``S u`` and its rounding terms, as
+    ``cone.check`` gives them) to the exact projection of the input v, in
+    scaled coordinates.
+
+    ``u + t z`` lies in the cone for the interior direction z and
+    ``t = max(0, max(-s_i)) / min(S z)``, rounding allowed for.  The
+    objective 1/2 ||y - v||^2 is 1-strongly convex, so the squared distance
+    from that point to the exact projection is at most twice the duality
+    gap at ``lam`` (Boyd and Vandenberghe 2004, "Convex Optimization",
+    5.5), ``lam . s + t lam . S z + 1/2 t^2 ||z||^2``, with each value's
+    rounding allowed for.  Hence ``e = sqrt(2 gap) + t ||z||``, plus the
+    rounding of u, of the input's scaling and of the returned
+    x = u / sqrt(omega): ``_ROUND`` times the norm of ``|v| + |S^T| lam``,
+    which ``cone.spread_per_term`` bounds by the largest rounding term.
+    The final clip x >= 0 is the Omega-projection onto the nonnegative
+    orthant, which contains the cone, so it moves x no farther from the
+    feasible point and needs no allowance.
+    """
+    # the dots run over every row: lam is 0 off the active set, and one dot
+    # costs less than gathering the active rows first
+    largest = _ROUND * float(terms.max())
+    t = (max(0.0, -float(s.min())) + largest) / cone.interior_min
+    gap = (float(lam @ s) + t * float(lam @ cone.interior)
+           + _ROUND * float(lam @ terms))
+    shift = t * cone.interior_norm
+    resid = largest * cone.spread_per_term
+    return math.sqrt(2.0 * max(gap, 0.0) + (shift + resid)**2) + shift + resid
+
+
 def _certify(cone: _Cone, lam: np.ndarray, check):
-    """The point of multipliers ``lam`` and its active set, checked against
-    the KKT certificate; raises ``RuntimeError`` if it fails.
+    """The point of multipliers ``lam``, its active set and its error bound
+    (``_error_bound``), checked against the KKT certificate; raises
+    ``RuntimeError`` if it fails.
 
     The certificate runs on the very u whose x is returned: the solver's
     last point, ``check`` = (u, S u, rounding terms) as ``cone.check`` gives
@@ -628,14 +710,14 @@ def _certify(cone: _Cone, lam: np.ndarray, check):
     active = (lam > 0).nonzero()[0]
     u, s, terms = check
     cert = cone.threshold(_FEAS_TOL, _FEAS_REL, terms)
-    breach = float((-s / cert).max())
+    breach = -float((s / cert).min())
     slack = float((np.abs(s[active]) / cert[active]).max(initial=0.0))
     if not (lam.min() >= 0 and breach <= 1.0 and slack <= 1.0):
         raise RuntimeError(
             "cone projection failed its KKT certificate: largest breach "
             f"{breach:.3g} and largest slack of an active constraint "
             f"{slack:.3g}, in units of the tolerance")
-    return u, active
+    return u, active, _error_bound(cone, lam, s, terms)
 
 
 def _project_stack(cone: _Cone, X: np.ndarray, warm: ProjectionWarmStart):
@@ -643,12 +725,20 @@ def _project_stack(cone: _Cone, X: np.ndarray, warm: ProjectionWarmStart):
     as one stack from ``warm.active``.
 
     Returns them and each member's active set, None for a member already in
-    the cone (returned unchanged).
+    the cone (returned unchanged), and raises ``warm.error_max`` to the
+    largest error bound of the members.  A member in the cone up to the
+    working-set threshold is at most ``t ||z||`` from its projection, the
+    distance to the feasible point ``v + t z`` (``_error_bound``).
     """
     warm.calls += X.shape[0]
     V = cone.scale(X)
     B = cone.values(V)
-    inside = (B >= -cone.threshold(_ADD_TOL, _ADD_REL, cone.rounding(V))).all(axis=1)
+    terms = cone.rounding(V)
+    inside = (B >= -cone.threshold(_ADD_TOL, _ADD_REL, terms)).all(axis=1)
+    if inside.any():
+        t = (np.maximum(0.0, -B[inside].min(axis=1))
+             + _ROUND * terms[inside].max(axis=1)) / cone.interior_min
+        warm.error_max = max(warm.error_max, float(t.max()) * cone.interior_norm)
     out = X.copy()
     active = [None] * X.shape[0]
     todo = (~inside).nonzero()[0]
@@ -657,7 +747,8 @@ def _project_stack(cone: _Cone, X: np.ndarray, warm: ProjectionWarmStart):
     if todo.size:
         lam, checks = _solve_dual(cone, V, B, warm)
         for i, j in enumerate(todo.tolist()):
-            u, active[j] = _certify(cone, lam[i], checks[i])
+            u, active[j], e = _certify(cone, lam[i], checks[i])
+            warm.error_max = max(warm.error_max, e)
             out[j] = u[:-1] / cone.sqrt_omega
     return out, active
 
@@ -680,7 +771,8 @@ def project_to_cone(C, w: WeightField, grid: Grid2D | None = None,
     ``warm`` carries the active set and the last Newton factor from one call
     to the next; it speeds up sequences of projections of nearby surfaces.
     A projection of C already prepared in ``warm`` by a stacked solve is
-    returned without solving again.
+    returned without solving again.  ``warm.error_max`` is raised to the
+    result's bound on its Omega-distance from the exact projection.
     """
     if isinstance(C, Surface):
         grid = C.grid
@@ -709,17 +801,23 @@ def project_to_cone(C, w: WeightField, grid: Grid2D | None = None,
 
 
 def projection_certificates(C_raw, w: WeightField,
-                            fd: FdConfig = FdConfig(),
-                            trials: int = 200,
+                            trials: int = 10,
                             path_steps: int = 8,
                             rng_seed: int = 0,
                             grid: Grid2D | None = None) -> ProjectionCertificates:
-    """Empirical Lipschitz and Dupire-TV-nonincrease certificates.
+    """Certified Lipschitz ratio, its audit, and the Dupire-TV-nonincrease
+    certificate.
 
-    lip_emp is the max ratio ||P(C+d) - P(C+d')||_w / ||d - d'||_w over seeded
-    Gaussian perturbation pairs at 1% of the surface norm; dup_tv_path tracks
-    the Dupire total variation along the proximal homotopy from C_raw to its
-    projection, at ``path_steps + 1`` equally spaced points.
+    Every projection made here carries an upper bound e on its distance to
+    the exact projection (``_error_bound``).  The exact projection is
+    nonexpansive, so the certified ratio ``lip_certified = 1 + 2 max(e) /
+    delta``, with delta the smallest distance of an audited pair, bounds
+    ||P(C+d) - P(C+d')||_w / ||d - d'||_w over the audited pairs; the C3
+    gate reads it.  ``lip_emp`` is that ratio as measured over ``trials``
+    seeded Gaussian perturbation pairs at 1% of the surface norm, an audit.
+    dup_tv_path tracks the Dupire total variation along the proximal
+    homotopy from C_raw to its projection, at ``path_steps + 1`` equally
+    spaced points.
 
     C_raw is projected first; that projection is the end of the Dupire path,
     and its active set is the working set every perturbed surface starts
@@ -748,7 +846,7 @@ def projection_certificates(C_raw, w: WeightField,
     cone, _ = _cone(grid, w.w * quadrature_matrix(grid))
     rng = np.random.default_rng(rng_seed)
     scale = 0.01 * weighted_norm(base, w, grid)
-    lip = 0.0
+    lip, delta = 0.0, np.inf
     for lo in range(0, 2 * trials, _STACK):
         d = rng.standard_normal((min(_STACK, 2 * trials - lo),) + base.shape)
         d *= np.array([scale / weighted_norm(x, w, grid) for x in d])[:, None, None]
@@ -760,14 +858,17 @@ def projection_certificates(C_raw, w: WeightField,
             denom = weighted_norm(d[i] - d[i + 1], w, grid)
             if denom > 0:
                 lip = max(lip, weighted_norm(p[i] - p[i + 1], w, grid) / denom)
+                delta = min(delta, denom)
 
     tvs = []
     for t in range(path_steps + 1):
         lam = t / path_steps
         blend = (1 - lam) * base + lam * proj
-        fld = dupire_field(blend, grid, fd)
+        fld = dupire_field(blend, grid)
         tvs.append(dupire_total_variation(fld, w))
     tvs = np.asarray(tvs)
     dup_ok = bool(np.all(np.diff(tvs) <= 1e-9))
-    return ProjectionCertificates(lip_emp=float(lip), dup_ok=dup_ok,
-                                  dup_tv_path=tvs, projections=warm.counters())
+    return ProjectionCertificates(
+        lip_emp=float(lip), lip_certified=float(1.0 + 2.0 * warm.error_max / delta),
+        pair_distance_min=float(delta), dup_ok=dup_ok, dup_tv_path=tvs,
+        projections=warm.counters())

@@ -10,7 +10,7 @@ re-interpolation between sparse nodes alone would degrade it to first order).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,21 +37,17 @@ class AnisotropyConfig:
     beta_K: int = 1
     beta_tau: int = 1
     level_L: int = 0
-    a_K: float | None = None
-    a_tau: float | None = None
+    # the index-set slopes beta_bar / beta, set from the orders
+    a_K: float = field(init=False)
+    a_tau: float = field(init=False)
 
     def __post_init__(self):
         if self.beta_K < 1 or self.beta_tau < 1:
             raise ValueError("smoothness orders must be positive integers")
         if self.level_L < 0:
             raise ValueError("level_L must be nonnegative")
-        beta_bar = min(self.beta_K, self.beta_tau)
-        if self.a_K is None:
-            object.__setattr__(self, "a_K", beta_bar / self.beta_K)
-        if self.a_tau is None:
-            object.__setattr__(self, "a_tau", beta_bar / self.beta_tau)
-        if self.a_K <= 0 or self.a_tau <= 0:
-            raise ValueError("index-set slopes must be positive")
+        object.__setattr__(self, "a_K", self.beta_bar / self.beta_K)
+        object.__setattr__(self, "a_tau", self.beta_bar / self.beta_tau)
 
     @property
     def beta_bar(self) -> int:
@@ -175,10 +171,11 @@ def error_frontier(target, levels, cfg: AnisotropyConfig, domain,
                    fits: dict | None = None) -> list[dict]:
     """Error/parameter/time frontier across levels.
 
-    One row per level: level, node_count (CPWL vertices), param_count,
-    weighted_error (the trapezoid L2 error on a held-out ``HELDOUT_SHAPE``
-    grid), wall_seconds.  ``fits`` maps a level to an interpolant already
-    built from the same target and config; that level reuses it, and its
+    One row per level: level, node_count (CPWL vertices), param_count (of
+    the compiled ReLU net, None without ``compile_nets``), weighted_error
+    (the trapezoid L2 error on a held-out ``HELDOUT_SHAPE`` grid),
+    wall_seconds.  ``fits`` maps a level to an interpolant already built
+    from the same target and config; that level reuses it, and its
     wall_seconds then counts only the work done here.
     """
     levels = list(levels)
@@ -194,14 +191,10 @@ def error_frontier(target, levels, cfg: AnisotropyConfig, domain,
 
     rows = []
     for L in levels:
-        cfg_L = AnisotropyConfig(cfg.beta_K, cfg.beta_tau, L, cfg.a_K, cfg.a_tau)
         t0 = time.perf_counter()
-        fit = fits[L] if fits and L in fits else smolyak_fit(target, cfg_L, domain)
-        if compile_nets:
-            net = compile_to_relu(fit)
-            param_count = net.param_count
-        else:
-            param_count = 0
+        fit = (fits[L] if fits and L in fits
+               else smolyak_fit(target, replace(cfg, level_L=L), domain))
+        param_count = compile_to_relu(fit).param_count if compile_nets else None
         wall = time.perf_counter() - t0
         approx = fit.evaluate(pts).reshape(ref.shape)
         err = float(np.sqrt(np.sum((approx - ref) ** 2 * wq)))

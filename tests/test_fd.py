@@ -98,7 +98,7 @@ def test_dupire_bs_interior():
 def test_dupire_zero_numerator_clips_to_floor(grid21x11):
     K, _ = np.meshgrid(grid21x11.strikes, grid21x11.maturities)
     cfg = FdConfig()
-    fld = dupire_field(K**2, grid21x11, cfg)   # C_tau = 0, convex in K
+    fld = dupire_field(K**2, grid21x11)   # C_tau = 0, convex in K
     np.testing.assert_allclose(fld.sigma2, cfg.clip_lo)
     assert fld.clipped_mask.all()
 
@@ -107,7 +107,7 @@ def test_dupire_denominator_floor_flagged(grid21x11):
     # calendar-increasing but strike-flat surface: K^2 C_KK = 0 < floor
     _, T = np.meshgrid(grid21x11.strikes, grid21x11.maturities)
     cfg = FdConfig()
-    fld = dupire_field(T.copy(), grid21x11, cfg)
+    fld = dupire_field(T.copy(), grid21x11)
     assert fld.floored_mask.all()
     np.testing.assert_allclose(fld.sigma2, cfg.clip_hi)  # 2/floor, clipped up
 

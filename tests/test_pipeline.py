@@ -229,7 +229,8 @@ def test_cli_single_stage_is_timed(capsys):
     rc = cli_main(["gate"])
     assert rc == 0
     meta = json.loads(capsys.readouterr().out)["meta"]
-    counters = ("calls", "newton_steps", "factor_reuses", "safeguard_steps")
+    counters = ("calls", "newton_steps", "factor_reuses", "safeguard_steps",
+                "error_max")
     assert set(meta) == {"wall_generate", "wall_fit", "wall_project",
                          "wall_gate"} | {f"proj_{sequence}_{name}"
                                          for sequence in ("certificates", "project")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from arbsurf.fd import FdConfig, dkk_matrix, dtau_matrix
+from arbsurf.fd import dkk_matrix, dtau_matrix
 from arbsurf.grid import (Grid2D, Surface, WeightField, quadrature_matrix,
                           uniform_weight, vega_bump_weight, weighted_inner,
                           weighted_norm)
@@ -386,8 +386,7 @@ def test_certificates_on_synthetic_surface(grid21x11, weight21x11,
     rng = np.random.default_rng(11)
     noisy = bs_surface_21x11 + 0.25 * rng.standard_normal(grid21x11.shape)
     certs = projection_certificates(np.maximum(noisy, 0.0), weight21x11,
-                                    FdConfig(), trials=50, path_steps=8,
-                                    rng_seed=0, grid=grid21x11)
+                                    trials=50, grid=grid21x11)
     assert certs.lip_emp <= 1.01
     assert certs.dup_tv_path.size == 9
     assert certs.dup_ok == bool(np.all(np.diff(certs.dup_tv_path) <= 1e-9))
@@ -420,11 +419,11 @@ def _record_stacks(monkeypatch):
 
 
 def _serial_lipschitz(base, w, g, trials, rng_seed):
-    """The certificate's ratio from one cold projection per perturbed
-    surface, over the same draws."""
+    """The audit's ratio from one cold projection per perturbed surface,
+    over the same draws, and the smallest pair distance."""
     rng = np.random.default_rng(rng_seed)
     scale = 0.01 * weighted_norm(base, w, g)
-    lip = 0.0
+    lip, delta = 0.0, np.inf
     for _ in range(trials):
         d1, d2 = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
         d1 = d1 * (scale / weighted_norm(d1, w, g))
@@ -432,7 +431,8 @@ def _serial_lipschitz(base, w, g, trials, rng_seed):
         p1 = project_to_cone(base + d1, w, grid=g).values
         p2 = project_to_cone(base + d2, w, grid=g).values
         lip = max(lip, weighted_norm(p1 - p2, w, g) / weighted_norm(d1 - d2, w, g))
-    return lip
+        delta = min(delta, weighted_norm(d1 - d2, w, g))
+    return lip, delta
 
 
 @pytest.mark.parametrize("pairs", ["one", "stack and three"])
@@ -460,8 +460,11 @@ def test_stacked_members_match_single_projections(
             assert weighted_norm(got - ref, w, g) <= 1e-12 * weighted_norm(ref, w, g)
             assert feasibility_violation(got, g) <= 1e-10
     assert certs.projections["calls"] == members + 1
-    assert certs.lip_emp == pytest.approx(
-        _serial_lipschitz(base, w, g, trials, rng_seed=3), rel=1e-12)
+    lip, delta = _serial_lipschitz(base, w, g, trials, rng_seed=3)
+    assert certs.lip_emp == pytest.approx(lip, rel=1e-12)
+    assert certs.pair_distance_min == pytest.approx(delta, rel=1e-12)
+    assert certs.lip_certified == (1.0 + 2.0 * certs.projections["error_max"]
+                                   / certs.pair_distance_min)
 
 
 def test_stacked_member_that_fails_its_certificate_raises(
@@ -630,15 +633,97 @@ def test_certificates_do_not_depend_on_the_stack_size(
 
 
 def test_certificate_peak_memory_stays_under_its_guard():
-    # the C3 certificate of the default market: 400 members in stacks of 8
-    # peaked at 1.34 MB (2.59 MB in stacks of 16), set by the stacked Gram
-    # band and its index arrays
+    # the C3 certificate of the default market audited over 200 pairs: 400
+    # members in stacks of 8 peaked at 1.34 MB (2.59 MB in stacks of 16),
+    # set by the stacked Gram band and its index arrays
     from arbsurf.pipeline import PipelineContext
     ctx = PipelineContext()
     ctx.stage_generate()
     pc = ctx.config["projection"]
     noisy, w = ctx.art["noisy"], ctx.art["weight"]
     project_to_cone(noisy, w)  # the cone is cached, not counted below
-    peak = traced_peak(projection_certificates, noisy, w, trials=pc["lip_trials"],
+    peak = traced_peak(projection_certificates, noisy, w, trials=200,
                        path_steps=pc["path_steps"], rng_seed=ctx._seed("lip-pairs"))
     assert peak <= 1.7e6
+
+
+# ---------------------------------------------------------------------------
+# the error bound of each projection, which the C3 gate reads
+# ---------------------------------------------------------------------------
+
+def _stopped_early(g, w, y):
+    """Two points of y's projection stopped before convergence, each with
+    the error bound every certified projection carries (``_error_bound``):
+    the point of the clipped multipliers of its first active-set trial, and
+    that of half the solved multipliers, which breaches the active rows."""
+    import arbsurf.projection as projection
+    cone, _ = projection._cone(g, w.w * quadrature_matrix(g))
+    V = cone.scale(np.asarray(y, float).reshape(1, -1))
+    B = cone.values(V)
+    inW = projection._breached(cone, B, cone.rounding(V))
+    lam_W, _ = projection._newton(cone, B, inW, inW.ravel().nonzero()[0],
+                                  ProjectionWarmStart())
+    first = np.zeros(cone.m)
+    first[inW[0]] = lam_W
+    solved, _ = projection._solve_dual(cone, V, B, ProjectionWarmStart())
+    points = []
+    for lam in (np.maximum(first, 0.0), 0.5 * solved[0]):
+        U, S, T = cone.check(V, lam[None])
+        e = projection._error_bound(cone, lam, S[0], T[0])
+        x = np.maximum(U[0, :-1] / cone.sqrt_omega, 0.0)
+        points.append((x.reshape(g.shape), e))
+    return points
+
+
+@pytest.mark.parametrize("n_strikes", [21, 31])
+def test_error_bound_holds_against_the_oracle(n_strikes):
+    # 20 seeded noisy surfaces per grid under weights spread over a factor
+    # e^5.  The certified projection and the NNLS oracle agree to 1e-11 or
+    # better, while e is 5e-6 to 3e-5, mostly the rounding allowance pushed
+    # along the interior direction.  The oracle's accuracy, from its own
+    # duality gap in the same form (nnls_projection_accuracy), is 1e-6 to
+    # 7e-6, so the exact projection is within e + that of every point
+    # checked.  At the points stopped before convergence the distance is
+    # 0.8 to 100 and e is 1e4 to 1e7, mostly the push along the interior
+    # direction; without that push the bound at half the solved multipliers
+    # would be about 0
+    from tests_oracle_helpers import nnls_projection_accuracy
+    rng = np.random.default_rng(20261019 + n_strikes)
+    g = Grid2D(np.linspace(80.0, 120.0, n_strikes), np.linspace(0.1, 1.1, 11))
+    K, T = np.meshgrid(g.strikes, g.maturities)
+    for _ in range(20):
+        w = np.exp(rng.uniform(0.0, 5.0, g.shape))
+        w = WeightField(w / w.mean())
+        y = bs_call(100.0, K, T, 0.2) + 0.5 * rng.standard_normal(g.shape)
+        warm = ProjectionWarmStart()
+        x = project_to_cone(y, w, grid=g, warm=warm).values
+        ref, accuracy = nnls_projection_accuracy(y, g, w)
+        assert accuracy <= 1e-5
+        assert 0.0 < weighted_norm(x - ref, w, g) <= warm.error_max <= 1e-4
+        for early, e in _stopped_early(g, w, y):
+            assert weighted_norm(early - ref, w, g) <= e
+
+
+def test_projection_stopped_early_fails_the_lipschitz_gate(monkeypatch):
+    # negative control: the default market's projection stopped at its
+    # first trial, put through the bound every certified projection
+    # carries, fails C3_lip at the unchanged LIP_PASS against the default
+    # audit's smallest pair distance; the certified projections pass it
+    import arbsurf.projection as projection
+    from arbsurf.pipeline import PipelineContext
+    ctx = PipelineContext()
+    for stage in ("generate", "fit", "project"):
+        getattr(ctx, f"stage_{stage}")()
+    c3 = ctx.summary["C3"]
+    assert ctx.gates["C3_lip"] == {"value": c3["lip_certified"],
+                                   "threshold": projection.LIP_PASS, "pass": True}
+    assert c3["lip_emp"] <= c3["lip_certified"]
+    (_, e), _ = _stopped_early(ctx.art["grid"], ctx.art["weight"],
+                               ctx.art["noisy"].values)
+    ratio = 1.0 + 2.0 * e / c3["pair_distance_min"]
+    assert ratio > projection.LIP_PASS
+    # that bound in place of the certified projections' fails the gate
+    monkeypatch.setattr(projection, "_error_bound", lambda *args: e)
+    ctx.stage_project()
+    assert ctx.summary["C3"]["lip_certified"] == pytest.approx(ratio)
+    assert ctx.gates["C3_lip"]["pass"] is False

@@ -5,9 +5,11 @@ A function in a module's ``__all__`` under ``src/arbsurf`` must be called
 from ``src/arbsurf`` outside its own definition, or from a demo.  Functions
 that only tests call are deleted rather than kept as public API.  Likewise a
 parameter with a default, of a public function or a public frozen
-dataclass, must be passed by some call there: one that only its default
-reaches is a module constant instead.  The exceptions below each name why
-the function or parameter stays, and each must still be needed.
+dataclass, must be passed a second value by some call there: an argument
+that is a literal equal to the default passes none.  A parameter that only
+its default reaches is a module constant instead.  The exceptions below
+each name why the function or parameter stays, and each must still be
+needed.
 """
 
 import ast
@@ -100,13 +102,30 @@ DEFAULT_EXCEPTIONS = {
     "projection_certificates.grid": "the certificate tests pass raw arrays "
                                     "with their grid",
     "extract_density.fd": "the tiny-grid density test needs 3-point windows",
+    "AnisotropyConfig.beta_K": "the index-set tests build anisotropic sets "
+                               "(orders 1 to 3)",
+    "AnisotropyConfig.beta_tau": "the index-set and monotonicity tests build "
+                                 "anisotropic sets (orders 1 and 2)",
 }
 
 
+_UNKNOWN = object()
+
+
+def _literal(node):
+    """The value of a literal argument, or _UNKNOWN for any other
+    expression."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _UNKNOWN
+
+
 def _passed(path: Path):
-    """(called name, number of leading positional arguments, keyword names)
-    per call.  The positional count stops at a ``*args``; ``**config[section]``
-    passes the keys of that DEFAULT_CONFIG section."""
+    """(called name, the values passed by position, the values passed by
+    keyword) per call, each value ``_UNKNOWN`` unless it is a literal.  The
+    positional values stop at a ``*args``; ``**config[section]`` passes the
+    keys of that DEFAULT_CONFIG section."""
     from arbsurf.pipeline import DEFAULT_CONFIG
     for node in ast.walk(ast.parse(path.read_text())):
         if not isinstance(node, ast.Call):
@@ -115,22 +134,24 @@ def _passed(path: Path):
         name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
         n_args = next((i for i, a in enumerate(node.args)
                        if isinstance(a, ast.Starred)), len(node.args))
-        keys = set()
+        args = [_literal(a) for a in node.args[:n_args]]
+        keys = {}
         for kw in node.keywords:
             if kw.arg is not None:
-                keys.add(kw.arg)
+                keys[kw.arg] = _literal(kw.value)
                 continue
             section = getattr(kw.value, "slice", None)
             assert isinstance(section, ast.Constant), \
                 f"{path.name}:{node.lineno}: **kwargs hides what it passes"
-            keys |= set(DEFAULT_CONFIG[section.value])
-        yield name, n_args, keys
+            keys.update(dict.fromkeys(DEFAULT_CONFIG[section.value], _UNKNOWN))
+        yield name, args, keys
 
 
 def _public_defaults():
-    """(qualified name, parameter name, its position) of every parameter with
-    a default of a public function, and every defaulted init field of a
-    public frozen dataclass; the position is None for a keyword-only one."""
+    """(qualified name, parameter name, its position, its default) of every
+    parameter with a default of a public function, and every defaulted init
+    field of a public frozen dataclass; the position is None for a
+    keyword-only one."""
     for _, name, obj in _public_objects():
         if inspect.isfunction(obj):
             params = [p for p in inspect.signature(obj).parameters.values()
@@ -138,25 +159,41 @@ def _public_defaults():
             for pos, p in enumerate(params):
                 if p.default is not p.empty:
                     yield name, p.name, (None if p.kind == p.KEYWORD_ONLY
-                                         else pos)
+                                         else pos), p.default
         elif (dataclasses.is_dataclass(obj)
               and obj.__dataclass_params__.frozen):
             fields = [f for f in dataclasses.fields(obj) if f.init]
             for pos, f in enumerate(fields):
-                if (f.default is not dataclasses.MISSING
-                        or f.default_factory is not dataclasses.MISSING):
-                    yield name, f.name, pos
+                if f.default is not dataclasses.MISSING:
+                    yield name, f.name, pos, f.default
+                elif f.default_factory is not dataclasses.MISSING:
+                    yield name, f.name, pos, _UNKNOWN
+
+
+def _sets(value, default) -> bool:
+    """Whether an argument passes a value other than the default: any
+    expression but a literal equal to the default."""
+    return value is _UNKNOWN or default is _UNKNOWN or value != default
 
 
 def test_every_public_default_is_set_outside_tests():
     calls = [c for path in sorted(PACKAGE.glob("*.py"))
              + sorted((ROOT / "demos").glob("*.py")) for c in _passed(path)]
     unset = set()
-    for owner, param, pos in _public_defaults():
-        if not any(called == owner and (param in keys
-                                        or (pos is not None and pos < n_args))
-                   for called, n_args, keys in calls):
+    for owner, param, pos, default in _public_defaults():
+        passed = [keys[param] if param in keys else args[pos]
+                  for called, args, keys in calls if called == owner
+                  and (param in keys or (pos is not None and pos < len(args)))]
+        if not any(_sets(value, default) for value in passed):
             unset.add(f"{owner}.{param}")
     assert sorted(unset - set(DEFAULT_EXCEPTIONS)) == []
     # an exception whose parameter has found a caller is dropped from the dict
     assert sorted(set(DEFAULT_EXCEPTIONS) - unset) == []
+
+
+def test_a_literal_equal_to_the_default_sets_nothing():
+    assert not _sets(8, 8)
+    assert not _sets(None, None)
+    assert _sets(9, 8)
+    assert _sets(_UNKNOWN, 8)
+    assert _sets(8, _UNKNOWN)

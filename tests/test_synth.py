@@ -122,7 +122,7 @@ def test_smile_dupire_matches_analytic_local_variance():
     g = Grid2D(np.linspace(80, 120, 81), np.linspace(0.1, 1.1, 41))
     params = MarketParams(vol_kind="smile", vol_level=a, smile_curvature=b)
     clean, _ = generate_surface(params, g)
-    fld = dupire_field(clean, g, FdConfig())
+    fld = dupire_field(clean, g)
     K, T = np.meshgrid(g.strikes, g.maturities)
     sig = a + b * ((K - spot) / spot) ** 2
     dsig = 2.0 * b * (K - spot) / spot**2

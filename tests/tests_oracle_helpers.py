@@ -31,11 +31,9 @@ def full_cone_matrix(grid, nonneg=True):
     return np.asarray(rows)
 
 
-def nnls_cone_projection_full(y, grid, w, nonneg=True):
-    """Exact weighted projection onto the full arbitrage cone by dual NNLS.
-
-    The output's feasibility is asserted, so a failed NNLS solve raises.
-    """
+def _nnls_dual(y, grid, w, nonneg=True):
+    """The dual NNLS solve: the cone matrix, the metric's diagonal, the
+    multipliers and the point ``y + Omega^-1 A^T mu``, flattened."""
     omega = (w.w * quadrature_matrix(grid)).ravel()
     A = full_cone_matrix(grid, nonneg)
     B = A.T / np.sqrt(omega)[:, None]
@@ -47,7 +45,37 @@ def nnls_cone_projection_full(y, grid, w, nonneg=True):
     breach = -np.min(A @ out, initial=0.0)
     assert breach <= 1e-9 * (1.0 + np.max(np.abs(y))), \
         f"NNLS oracle returned an infeasible point (breach {breach:.3g})"
-    return out.reshape(y.shape)
+    return A, omega, mu, out
+
+
+def nnls_cone_projection_full(y, grid, w, nonneg=True):
+    """Exact weighted projection onto the full arbitrage cone by dual NNLS.
+
+    The output's feasibility is asserted, so a failed NNLS solve raises.
+    """
+    return _nnls_dual(y, grid, w, nonneg)[3].reshape(np.shape(y))
+
+
+def nnls_projection_accuracy(y, grid, w):
+    """The NNLS oracle's projection of y and the distance, in the weighted
+    norm, that its own duality gap allows between it and the exact
+    projection, in dense arithmetic with rounding not counted.
+
+    The output is pushed into the cone along 1 + tau + r^2 (r the strike
+    mapped onto [-1, 1]) by its largest breach per row; the objective is
+    1-strongly convex, so that point is within sqrt(2 gap) of the exact
+    projection.
+    """
+    A, omega, mu, out = _nnls_dual(y, grid, w)
+    K, T = np.meshgrid(grid.strikes, grid.maturities)
+    r = (2.0 * K - grid.strikes[0] - grid.strikes[-1]) / np.ptp(grid.strikes)
+    z = (1.0 + T + r**2).ravel()
+    t = max(0.0, np.max(-(A @ out) / (A @ z)))
+    pushed = out + t * z
+    resid = pushed - np.asarray(y, float).ravel() - (A.T @ mu) / omega
+    gap = mu @ (A @ pushed) + 0.5 * np.sum(omega * resid**2)
+    shift = t * np.sqrt(np.sum(omega * z**2))
+    return out.reshape(np.shape(y)), np.sqrt(2.0 * max(gap, 0.0)) + shift
 
 
 def dict_compile_to_relu(f, d_max=8, c3=2.0):
