@@ -30,10 +30,8 @@ active-set Newton step (Hintermueller, Ito and Kunisch 2002), which
 converges in a few steps from a good start.  Where it stalls, as on
 degenerate duals, a descent step takes over: Newton on rows freed by
 Lawson and Hanson's rule, searched along the projection arc's breakpoints
-(More and Toraldo 1991).  Both solve with banded Cholesky factors.  A
-stack of problems on one grid and weight shares each factorisation (the
-Gram matrix is block diagonal): ``project_to_cone`` is the stack of one,
-``projection_certificates`` solves in stacks of ``_STACK``.
+(More and Toraldo 1991).  Both solve with banded Cholesky factors, and a
+factor made for one working set serves a later trial on the same set.
 ``pav_isotonic`` projects one strike's column onto the calendar family.
 """
 
@@ -70,7 +68,7 @@ _ADD_REL = 1e-14
 # ridge on the unit-diagonal Gram matrix in the Newton steps; three steps
 # of iterative refinement remove its effect on the range of the Gram matrix
 _RIDGE = 1e-6
-# steps a member may take before the solve raises.  Cold projections of
+# steps a dual solve may take before it raises.  Cold projections of
 # random 3N(0,1)+20 surfaces on 61 strikes under weights spread over a
 # factor e^5 take about 380 and up to 750, nearly every one followed by a
 # safeguard step
@@ -78,16 +76,6 @@ _NEWTON_STEPS = 5000
 # breakpoints of the arc the safeguard's search tries at most, spaced
 # geometrically in rank so that the first few are all tried
 _BREAKPOINTS = 32
-# members per stacked solve in projection_certificates, even so that each
-# audited perturbation pair lies in one stack.  The stack's transient
-# arrays set the process's memory high-water mark, and the largest are
-# gram_band's: at 31x11 a 16-member working set of 3254 rows has a band of
-# 23 x 3254 doubles (0.6 MB) and int64 index arrays (nbr, d, i, j) of 0.2 MB
-# each, 1.4 MB above the step and 2.6 MB for an audit of 200 pairs
-# (tracemalloc).  8 members halve that with no time difference the 2-core
-# Xeon resolves (certificate time ratio 8/16 of 0.85-1.2 per run over the
-# 5 ref31 markets); stacks of 4 were 18-46% slower
-_STACK = 8
 # relative rounding of the quantities the error bound reads, against the
 # magnitude of the terms summed into each (first order, Higham 2002,
 # "Accuracy and Stability of Numerical Algorithms", ch. 3): a constraint's
@@ -109,10 +97,11 @@ class ProjectionCertificates:
 
     * ``calls``: projections made, ``2 * trials + 1`` (the base surface and
       every perturbed one);
-    * ``newton_steps``: steps of the dual loop summed over the members of
-      each stack, one active-set trial each;
-    * ``factor_reuses``: the trials served by a factor made for another
-      member of the stack or kept from an earlier step;
+    * ``newton_steps``: steps of the dual loop summed over the
+      projections, one active-set trial each;
+    * ``factor_reuses``: the trials served by a factor kept from an earlier
+      trial, of the same projection or, for a perturbed surface's first
+      trial, of the base surface's projection;
     * ``safeguard_steps``: of the steps, those that went on to a safeguard
       descent step (``_safeguard``), whose solves are not counted above;
     * ``error_max``: the largest error bound e of the projections.
@@ -142,16 +131,14 @@ class ProjectionWarmStart:
     working set with its Gram band and Cholesky factor, which a later trial
     on the same working set reuses; both belong to one grid and weight
     (``key``).  The active set changes the result by rounding at most, the
-    reuse not at all.  ``prepared`` maps the bytes of an input to its
-    projection made by a stacked solve (``projection_certificates``).  The
-    counters are those of ``ProjectionCertificates.projections``;
+    reuse not at all.  The counters are those of
+    ``ProjectionCertificates.projections``;
     ``error_max`` is the largest error bound of the sequence's projections.
     """
 
     key: object = None
     active: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     factor: tuple | None = None
-    prepared: dict = field(default_factory=dict)
     calls: int = 0
     newton_steps: int = 0
     factor_reuses: int = 0
@@ -237,10 +224,8 @@ class _Cone:
     is stored as three node indices and coefficients, and each node as the
     rows that touch it; node ``n`` is a dummy with coefficient 0, and
     vectors in scaled coordinates carry it as a last entry that stays 0.
-    The methods take a stack of k problems, one per row of each array;
-    stacked constraint ``member*m + row`` is that member's constraint
-    ``row``.  Rows are ordered by their first node in strike-major order,
-    which makes the Gram matrix ``S S^T`` banded.
+    Rows are ordered by their first node in strike-major order, which makes
+    the Gram matrix ``S S^T`` banded.
     """
 
     def __init__(self, grid: Grid2D, omega: np.ndarray):
@@ -310,8 +295,8 @@ class _Cone:
         K, T = np.meshgrid(grid.strikes, grid.maturities)
         k_lo, k_hi = grid.strikes[0], grid.strikes[-1]
         r = (2.0 * K - k_lo - k_hi) / (k_hi - k_lo)
-        z = self.scale((1.0 + T + r**2).reshape(1, -1))
-        Sz, spread = self.values(z)[0], _ROUND * self.rounding(z)[0]
+        z = self.scale((1.0 + T + r**2).ravel())
+        Sz, spread = self.values(z), _ROUND * self.rounding(z)
         self.interior = Sz + spread
         self.interior_min = float((Sz - spread).min())
         self.interior_norm = float(np.linalg.norm(z)) * (1.0 + _ROUND)
@@ -323,33 +308,28 @@ class _Cone:
         # the largest rounding term
         self.spread_per_term = float(np.sqrt(n) / self.abs_coef_t[:n].max(axis=1).min())
 
-    def scale(self, X: np.ndarray) -> np.ndarray:
-        """Scaled coordinates ``sqrt(omega) * x`` of each row of X, with the
-        dummy node (always 0) appended."""
-        V = np.empty((X.shape[0], self.n + 1))
-        V[:, -1] = 0.0
-        np.multiply(self.sqrt_omega, X, out=V[:, :-1])
-        return V
+    def scale(self, x: np.ndarray) -> np.ndarray:
+        """Scaled coordinates ``sqrt(omega) * x``, with the dummy node
+        (always 0) appended."""
+        v = np.empty(self.n + 1)
+        v[-1] = 0.0
+        np.multiply(self.sqrt_omega, x, out=v[:-1])
+        return v
 
     @staticmethod
-    def _sums(coef: np.ndarray, index: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def _sums(coef: np.ndarray, index: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Each row of ``coef`` dotted with the entries ``index`` picks from
-        every row of X (one member each)."""
-        if X.shape[0] == 1:
-            # a lone problem keeps the row-wise form: the stacked form
-            # rounds differently in the last bit
-            return np.einsum("ij,ij->i", coef, X[0][index])[None]
-        return np.einsum("ij,kij->ki", coef, X[:, index])
+        x."""
+        return np.einsum("ij,ij->i", coef, x.take(index))
 
-    def values(self, U: np.ndarray) -> np.ndarray:
-        """S u for each row u of U: every constraint's value, scaled to a
-        unit normal."""
-        return self._sums(self.coef, self.cols, U)
+    def values(self, u: np.ndarray) -> np.ndarray:
+        """S u: every constraint's value, scaled to a unit normal."""
+        return self._sums(self.coef, self.cols, u)
 
-    def rounding(self, V: np.ndarray) -> np.ndarray:
-        """Magnitude of the terms summed into each scaled value S v of each
-        row v of V, the scale of its rounding."""
-        return self._sums(self.abs_coef, self.cols, np.abs(V))
+    def rounding(self, v: np.ndarray) -> np.ndarray:
+        """Magnitude of the terms summed into each scaled value of S v, the
+        scale of its rounding."""
+        return self._sums(self.abs_coef, self.cols, np.abs(v))
 
     def threshold(self, absolute: float, relative: float,
                   terms: np.ndarray) -> np.ndarray:
@@ -359,44 +339,32 @@ class _Cone:
         larger."""
         return np.maximum(self._floors[absolute], relative * terms)
 
-    def combine(self, L: np.ndarray) -> np.ndarray:
-        """``S^T lam`` for each row lam of L (one member each), with the
-        dummy node."""
-        return self._sums(self.coef_t, self.rows_t, L)
+    def combine(self, lam: np.ndarray) -> np.ndarray:
+        """``S^T lam``, with the dummy node."""
+        return self._sums(self.coef_t, self.rows_t, lam)
 
-    def check(self, V: np.ndarray, L: np.ndarray):
-        """``U = V + S^T lam`` for the rows of V and L, the values ``S u`` of
-        each row and their rounding terms, the magnitude of the terms summed
-        into each value.  Rows with ``lam = 0`` add exact zeros to all
-        three."""
-        U = V + self.combine(L)
-        spread = np.abs(V) + self._sums(self.abs_coef_t, self.rows_t, np.abs(L))
-        return (U, self.values(U),
-                self._sums(self.abs_coef, self.cols, spread))
+    def check(self, v: np.ndarray, lam: np.ndarray):
+        """``u = v + S^T lam``, its values ``S u`` and their rounding terms,
+        the magnitude of the terms summed into each value.  Rows with
+        ``lam = 0`` add exact zeros to all three."""
+        u = v + self.combine(lam)
+        spread = np.abs(v) + self._sums(self.abs_coef_t, self.rows_t, np.abs(lam))
+        return u, self.values(u), self._sums(self.abs_coef, self.cols, spread)
 
-    def gram_band(self, W: np.ndarray, k: int = 1) -> np.ndarray:
-        """Lower band storage of S[W] S[W]^T for increasing stacked indices W
-        (``member*m + row``) of k members.
+    def gram_band(self, W: np.ndarray) -> np.ndarray:
+        """Lower band storage of S[W] S[W]^T for increasing row indices W.
 
-        Members do not couple, so the matrix is block diagonal.  The band
-        holds as many diagonals as the coupling of W's rows needs; in this
-        row order that is far fewer than W has rows.
+        The band holds as many diagonals as the coupling of W's rows needs;
+        in this row order that is far fewer than W has rows.
         """
-        if k == 1:
-            row, nbr = W, self.nbr_lower[W]
-        else:
-            # neighbours within the member; the sentinel row m goes to k*m
-            member, row = np.divmod(W, self.m)
-            nbr = self.nbr_lower[row]
-            nbr = np.where(nbr < self.m, nbr + (member * self.m)[:, None],
-                           k * self.m)
-        # position of each stacked constraint within W, -1 if absent
-        where = np.full(k * self.m + 1, -1)
+        nbr = self.nbr_lower[W]
+        # position of each row within W, -1 if absent
+        where = np.full(self.m + 1, -1)
         where[W] = np.arange(W.size)
         d = where[nbr] - np.arange(W.size)[:, None]
         i, j = (d >= 0).nonzero()
         ab = np.zeros((int(d.max()) + 1, W.size), order="F")
-        ab[d[i, j], i] = self.gval_lower[row[i], j]
+        ab[d[i, j], i] = self.gval_lower[W[i], j]
         return ab
 
 
@@ -431,60 +399,33 @@ def _refined_solve(ab: np.ndarray, factor: np.ndarray,
     return lam
 
 
-def _newton(cone: _Cone, B: np.ndarray, inW: np.ndarray, g: np.ndarray,
+def _newton(cone: _Cone, b: np.ndarray, W: np.ndarray,
             warm: ProjectionWarmStart):
-    """One banded Newton solve for each member of a stack.
+    """One banded Newton solve ``G_WW lam = -b_W`` on the increasing rows W.
 
-    Member i solves ``G_WW lam = -b_W`` on its rows ``W = inW[i]`` with a
-    banded Cholesky factor of the ridged Gram matrix; refinement recovers
-    the unridged solution on the range of ``G_WW``, where the projection is
+    The solve uses a banded Cholesky factor of the ridged Gram matrix, or
+    ``warm``'s kept one if it was made for W; refinement recovers the
+    unridged solution on the range of ``G_WW``, where the projection is
     determined.  On a linearly dependent W the ridge keeps the solution's
     null-space part, which the projection does not see, near zero.  With
     ``b = S v`` and W the working set this is the active-set trial's
     multipliers; with ``b = S u`` at the current point and W the free rows
-    it is the safeguard's Newton step.  The members do not couple, so the
-    stack's Gram matrix is block diagonal and one banded factorisation and
-    solve serve them all.  When every member has the same W, one member's
-    factor is made (or ``warm``'s kept one reused, if it was made for W) and
-    repeated once per member.  ``g`` is ``np.flatnonzero(inW)``, the stacked
-    rows.
+    it is the safeguard's Newton step.
 
-    Returns the solution on the stacked rows and None, or, if some member's
-    factorisation failed, the solution on the rows of the others and the
-    mask of the members that succeeded.
+    Returns the solution on W, or None if the factorisation failed.
     """
-    k = inW.shape[0]
-    if k == 1 or (inW == inW[0]).all():
-        W = g[:g.size // k]
-        if W.size == 0:
-            return np.zeros(0), None
-        if warm.factor is not None and np.array_equal(warm.factor[0], W):
-            warm.factor_reuses += k
-            _, ab, factor = warm.factor
-        else:
-            ab = cone.gram_band(W)
-            factor, info = _factor(ab)
-            if info != 0:
-                return np.zeros(0), np.zeros(k, dtype=bool)
-            warm.factor = (W, ab, factor)
-            warm.factor_reuses += k - 1
-        if k == 1:
-            return _refined_solve(ab, factor, -B[0, W]), None
-        # k copies side by side, in the Fortran order LAPACK takes
-        ab, factor = (np.tile(a.T, (k, 1)).T for a in (ab, factor))
-        return _refined_solve(ab, factor, -B[:, W].ravel()), None
-    ok = np.ones(k, dtype=bool)
-    lam = np.zeros(0)
-    while g.size:
-        ab = cone.gram_band(g, k)
+    if W.size == 0:
+        return np.zeros(0)
+    if warm.factor is not None and np.array_equal(warm.factor[0], W):
+        warm.factor_reuses += 1
+        _, ab, factor = warm.factor
+    else:
+        ab = cone.gram_band(W)
         factor, info = _factor(ab)
-        if info == 0:
-            lam = _refined_solve(ab, factor, -B.ravel()[g])
-            break
-        # the leading minor of order info failed: drop that row's member
-        ok[g[info - 1] // cone.m] = False
-        g = (inW & ok[:, None]).ravel().nonzero()[0]
-    return lam, (None if ok.all() else ok)
+        if info != 0:
+            return None
+        warm.factor = (W, ab, factor)
+    return _refined_solve(ab, factor, -b[W])
 
 
 def _breached(cone: _Cone, s: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -492,175 +433,137 @@ def _breached(cone: _Cone, s: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return s < -cone.threshold(_ADD_TOL, _ADD_REL, terms)
 
 
-def _safeguard(cone: _Cone, V: np.ndarray, L: np.ndarray,
+def _safeguard(cone: _Cone, v: np.ndarray, lam: np.ndarray,
                warm: ProjectionWarmStart):
-    """One descent step of the dual from each member's multipliers ``L``
-    (all ``>= 0``).
+    """One descent step of the dual from the multipliers ``lam >= 0``.
 
     The step solves Newton's equations (``_newton``) on the free rows: the
     positive multipliers and the breached rows, less every row at zero that
     the solution would push negative, solved again until none is left
-    (Lawson and Hanson's rule).  A member left with its support only, and
-    stationary on it, frees its most breached row alone, once; a member
-    whose factorisation fails takes the projected gradient.  The search
-    along the arc ``[lam + alpha d]_+`` (More and Toraldo 1991) takes the
-    point of least q among ``_BREAKPOINTS`` of the arc's breakpoints (the
-    first of them all), the minimiser of q along the line and the arc's
-    end, which lowers q unless the member is stationary; q's change is
-    computed exactly as ``s . D + 1/2 ||S^T D||^2`` for the step D.  A
-    member no point lowers keeps ``L``.
+    (Lawson and Hanson's rule).  Left with its support only, and stationary
+    on it, the step frees the most breached row alone, once; if a
+    factorisation fails it keeps its last solution, or takes the projected
+    gradient.  The search along the arc ``[lam + alpha d]_+`` (More and
+    Toraldo 1991) takes the point of least q among ``_BREAKPOINTS`` of the
+    arc's breakpoints (the first of them all), the minimiser of q along the
+    line and the arc's end, which lowers q unless ``lam`` is stationary; q's
+    change is computed exactly as ``s . D + 1/2 ||S^T D||^2`` for the step
+    D.  If no point lowers q the step keeps ``lam``.
 
-    Returns the new multipliers, the ``cone.check`` arrays of their points
-    and each member's next working set: its positive multipliers and
-    breached rows.
+    Returns the new multipliers, the ``cone.check`` arrays of their point
+    and the next working set: the positive multipliers and breached rows.
     """
-    k = V.shape[0]
-    warm.safeguard_steps += k
-    U, S, terms = cone.check(V, L)
+    warm.safeguard_steps += 1
+    u, s, terms = cone.check(v, lam)
     scale = cone.threshold(_ADD_TOL, _ADD_REL, terms)
-    pos, added = L > 0, np.zeros(k, dtype=bool)
-    free, D = pos | (S < -scale), -S
+    pos, added = lam > 0, False
+    free, D = pos | (s < -scale), -s
     # the solves may reuse the factor the trials keep, but leave it as it is
     solves = ProjectionWarmStart(factor=warm.factor)
-    todo = np.arange(k)
-    while todo.size:
-        F = free[todo]
-        d, ok = _newton(cone, S[todo], F, F.ravel().nonzero()[0], solves)
-        if ok is not None:
-            todo, F = todo[ok], F[ok]
-        Dt = np.zeros(F.shape)
-        Dt[F] = d
-        D[todo] = Dt
-        block = F & (Dt < 0) & ~pos[todo]
-        again = block.any(axis=1)
-        todo = todo[again]
-        free[todo] &= ~block[again]
-        for i in todo[~(free[todo] & ~pos[todo]).any(axis=1)]:
-            breach = S[i] / scale[i]
-            if (np.abs(breach[pos[i]]) > 1.0).any():
-                continue
-            if added[i] or breach.min() >= -1.0:
-                todo = todo[todo != i]
-            else:
-                added[i] = True
-                free[i, breach.argmin()] = True
-    new = L.copy()
-    for i in range(k):
-        ratio = np.full(cone.m, np.inf)
-        down = D[i] < 0
-        ratio[down] = L[i, down] / -D[i, down]
-        alphas = np.unique(ratio[(ratio > 0) & (ratio < 1)])
-        if alphas.size > _BREAKPOINTS:
-            pick = np.geomspace(1, alphas.size, _BREAKPOINTS).astype(int) - 1
-            alphas = alphas[np.unique(pick)]
-        SD = cone.combine(D[i][None])[0]
-        line = -(S[i] @ D[i]) / (SD @ SD or 1.0)
-        alphas = np.unique(np.append(alphas, [min(line, 1.0), 1.0]))
-        points = np.maximum(L[i] + alphas[:, None] * D[i], 0.0)
-        points[ratio <= alphas[:, None]] = 0.0
-        SP = cone.combine(points - L[i])
-        dq = np.einsum("ij,ij->i", SP, U[i] + 0.5 * SP)
-        if dq.min() < 0:
-            new[i] = points[dq.argmin()]
-    U, S, terms = cone.check(V, new)
-    return new, (U, S, terms), (new > 0) | _breached(cone, S, terms)
+    while True:
+        d = _newton(cone, s, free.nonzero()[0], solves)
+        if d is None:
+            break
+        D = np.zeros(cone.m)
+        D[free] = d
+        block = free & (D < 0) & ~pos
+        if not block.any():
+            break
+        free &= ~block
+        if (free & ~pos).any():
+            continue
+        breach = s / scale
+        if (np.abs(breach[pos]) > 1.0).any():
+            continue
+        if added or breach.min() >= -1.0:
+            break
+        added = True
+        free[breach.argmin()] = True
+    ratio = np.full(cone.m, np.inf)
+    down = D < 0
+    ratio[down] = lam[down] / -D[down]
+    alphas = np.unique(ratio[(ratio > 0) & (ratio < 1)])
+    if alphas.size > _BREAKPOINTS:
+        pick = np.geomspace(1, alphas.size, _BREAKPOINTS).astype(int) - 1
+        alphas = alphas[np.unique(pick)]
+    SD = cone.combine(D)
+    line = -(s @ D) / (SD @ SD or 1.0)
+    alphas = np.unique(np.append(alphas, [min(line, 1.0), 1.0]))
+    points = np.maximum(lam + alphas[:, None] * D, 0.0)
+    points[ratio <= alphas[:, None]] = 0.0
+    # S^T of every candidate's step at once
+    SP = np.einsum("ij,kij->ki", cone.coef_t, (points - lam)[:, cone.rows_t])
+    dq = np.einsum("ij,ij->i", SP, u + 0.5 * SP)
+    new = points[dq.argmin()] if dq.min() < 0 else lam
+    u, s, terms = cone.check(v, new)
+    return new, (u, s, terms), (new > 0) | _breached(cone, s, terms)
 
 
-def _solve_dual(cone: _Cone, V: np.ndarray, B: np.ndarray,
+def _solve_dual(cone: _Cone, v: np.ndarray, b: np.ndarray,
                 warm: ProjectionWarmStart):
-    """Multipliers of the projections of the rows of V (scaled coordinates,
-    one member each) onto the cone; ``B`` is ``S v`` for each row.
+    """Multipliers of the projection of v (scaled coordinates) onto the
+    cone; ``b`` is ``S v``.
 
-    One loop minimises each member's dual ``q(lam) = 1/2 ||v + S^T lam||^2``
-    over ``lam >= 0``; every iterate it accepts is dual feasible and lowers
-    q strictly.  Each step solves the block active-set trial on the
-    member's working set (``_newton``, for the whole stack at once), which
-    starts as ``warm.active``, or the rows breached at v when that is empty.
-    A member whose trial is nonnegative and breaches nothing leaves the
-    stack.  Otherwise the clipped trial becomes the iterate if it lowers q,
-    and the next working set is the trial's positive multipliers and the
-    rows it breaches outside the working set.  A member whose trial does
-    not lower q, and whose previous trial did not either, or whose
-    factorisation failed, takes a descent step from its iterate
-    (``_safeguard``) and takes its next working set from there, which
-    breaks any cycle of working sets.  It leaves the stack if that point
-    meets the KKT conditions, or if the step cannot lower q; then its
-    certificate passes it or raises.  A member still in the stack after
-    ``_NEWTON_STEPS`` steps raises ``RuntimeError``.
+    One loop minimises the dual ``q(lam) = 1/2 ||v + S^T lam||^2`` over
+    ``lam >= 0``; every iterate it accepts is dual feasible and lowers q
+    strictly.  Each step solves the block active-set trial on the working
+    set (``_newton``), which starts as ``warm.active``, or the rows breached
+    at v when that is empty.  A trial that is nonnegative and breaches
+    nothing ends the solve.  Otherwise the clipped trial becomes the iterate
+    if it lowers q, and the next working set is the trial's positive
+    multipliers and the rows it breaches outside the working set.  A trial
+    that does not lower q, after a previous trial that did not either, or
+    whose factorisation failed, is followed by a descent step from the
+    iterate (``_safeguard``), which sets the next working set and breaks any
+    cycle of working sets.  The solve ends if that point meets the KKT
+    conditions, or if the step cannot lower q; then the certificate passes
+    it or raises.  A solve not ended after ``_NEWTON_STEPS`` steps raises
+    ``RuntimeError``.
 
-    Returns the (k, m) multipliers and, for each member, the ``cone.check``
-    arrays of its last point for the certificate.
+    Returns the multipliers and the ``cone.check`` arrays of their point
+    for the certificate.
     """
-    k = V.shape[0]
-    lam = np.zeros((k, cone.m))
-    checks = [None] * k
-    # the members still in the stack, their inputs, iterates, points
-    # u = v + S^T lam and whether their last step accepted no trial,
-    # compacted as members leave
-    live, Vl, Bl = np.arange(k), V, B
-    L, U, stuck = np.zeros((k, cone.m)), V.copy(), np.zeros(k, dtype=bool)
+    # the iterate, its point u = v + S^T lam and whether the last step
+    # accepted no trial
+    lam, u, stuck = np.zeros(cone.m), v.copy(), False
     if warm.active.size:
-        inW = np.zeros((k, cone.m), dtype=bool)
-        inW[:, warm.active] = True
+        inW = np.zeros(cone.m, dtype=bool)
+        inW[warm.active] = True
     else:
-        inW = _breached(cone, B, cone.rounding(V))
+        inW = _breached(cone, b, cone.rounding(v))
     for _ in range(_NEWTON_STEPS):
-        warm.newton_steps += live.size
-        lam_W, ok = _newton(cone, Bl, inW, inW.ravel().nonzero()[0], warm)
-        trial = np.zeros(inW.shape)
-        trial[inW if ok is None else inW & ok[:, None]] = lam_W
-        Ut, St, terms = cone.check(Vl, trial)
-        breach = _breached(cone, St, terms)
-        done = ~breach.any(axis=1)
-        finished = done.any()
-        if finished:
-            done &= trial.min(axis=1) >= 0
-            for i in done.nonzero()[0]:
-                lam[live[i]] = trial[i]
-                checks[live[i]] = (Ut[i].copy(), St[i].copy(), terms[i].copy())
-            if done.all():
-                return lam, checks
+        warm.newton_steps += 1
+        W = inW.nonzero()[0]
+        lam_W = _newton(cone, b, W, warm)
+        trial = np.zeros(cone.m)
+        if lam_W is not None:
+            trial[W] = lam_W
+        check = cone.check(v, trial)
+        breach = _breached(cone, check[1], check[2])
+        if not breach.any() and trial.min() >= 0:
+            return trial, check
         # the clipped trial P lowers q if s . D + 1/2 ||S^T D||^2 < 0 for
         # D = P - lam, with s . D = u . S^T D
         P = np.maximum(trial, 0.0)
-        SD = cone.combine(P - L)
-        lower = np.einsum("ij,ij->i", SD, U + 0.5 * SD) < 0
-        if finished:
-            lower &= ~done
-        if ok is not None:
-            lower &= ok
+        SD = cone.combine(P - lam)
         rule = (trial > 0) | (breach & ~inW)
-        if lower.all():
-            L, inW = P, rule
-            U += SD
-            stuck[:] = False
+        if lam_W is not None and np.einsum("i,i->", SD, u + 0.5 * SD) < 0:
+            lam, inW, stuck = P, rule, False
+            u += SD
             continue
-        safe = stuck & ~(lower | done)
-        if ok is not None:
-            safe |= ~(ok | done)
-        move = ~(safe | done)
-        L[lower] = P[lower]
-        U[lower] += SD[lower]
-        inW[move] = rule[move]
-        stuck = ~lower
-        if safe.any():
-            Ls, (Us, Ss, Ts), inW[safe] = _safeguard(cone, Vl[safe], L[safe], warm)
-            # a member the step cannot move is stationary up to rounding and
-            # leaves for its certificate, which passes or raises
-            kkt = (Ls == L[safe]).all(axis=1)
-            L[safe], U[safe] = Ls, Us
-            slack = np.where(Ls > 0, np.abs(Ss), 0.0)
-            kkt |= ~(_breached(cone, Ss, Ts) | _breached(cone, -slack, Ts)).any(axis=1)
-            for i, j in zip(kkt.nonzero()[0], safe.nonzero()[0][kkt]):
-                lam[live[j]] = L[j]
-                checks[live[j]] = (Us[i].copy(), Ss[i].copy(), Ts[i].copy())
-            done[safe] = kkt
-        if done.any():
-            keep = ~done
-            live, Vl, Bl, inW = live[keep], Vl[keep], Bl[keep], inW[keep]
-            L, U, stuck = L[keep], U[keep], stuck[keep]
-            if live.size == 0:
-                return lam, checks
+        if not stuck and lam_W is not None:
+            inW, stuck = rule, True
+            continue
+        stuck = True
+        new, check, inW = _safeguard(cone, v, lam, warm)
+        # a step that cannot move is stationary up to rounding and ends the
+        # solve for the certificate, which passes or raises
+        kkt = (new == lam).all()
+        lam, u = new, check[0]
+        slack = np.where(lam > 0, np.abs(check[1]), 0.0)
+        if kkt or not (_breached(cone, check[1], check[2])
+                       | _breached(cone, -slack, check[2])).any():
+            return lam, check
     raise RuntimeError(
         f"cone projection: the dual solve did not converge in {_NEWTON_STEPS} "
         "steps")
@@ -720,39 +623,6 @@ def _certify(cone: _Cone, lam: np.ndarray, check):
     return u, active, _error_bound(cone, lam, s, terms)
 
 
-def _project_stack(cone: _Cone, X: np.ndarray, warm: ProjectionWarmStart):
-    """Certified projections of the rows of X (flattened surfaces), solved
-    as one stack from ``warm.active``.
-
-    Returns them and each member's active set, None for a member already in
-    the cone (returned unchanged), and raises ``warm.error_max`` to the
-    largest error bound of the members.  A member in the cone up to the
-    working-set threshold is at most ``t ||z||`` from its projection, the
-    distance to the feasible point ``v + t z`` (``_error_bound``).
-    """
-    warm.calls += X.shape[0]
-    V = cone.scale(X)
-    B = cone.values(V)
-    terms = cone.rounding(V)
-    inside = (B >= -cone.threshold(_ADD_TOL, _ADD_REL, terms)).all(axis=1)
-    if inside.any():
-        t = (np.maximum(0.0, -B[inside].min(axis=1))
-             + _ROUND * terms[inside].max(axis=1)) / cone.interior_min
-        warm.error_max = max(warm.error_max, float(t.max()) * cone.interior_norm)
-    out = X.copy()
-    active = [None] * X.shape[0]
-    todo = (~inside).nonzero()[0]
-    if todo.size < X.shape[0]:
-        V, B = V[todo], B[todo]
-    if todo.size:
-        lam, checks = _solve_dual(cone, V, B, warm)
-        for i, j in enumerate(todo.tolist()):
-            u, active[j], e = _certify(cone, lam[i], checks[i])
-            warm.error_max = max(warm.error_max, e)
-            out[j] = u[:-1] / cone.sqrt_omega
-    return out, active
-
-
 def project_to_cone(C, w: WeightField, grid: Grid2D | None = None,
                     warm: ProjectionWarmStart | None = None) -> Surface:
     """Metric projection onto the arbitrage-free cone in the weighted norm.
@@ -770,9 +640,8 @@ def project_to_cone(C, w: WeightField, grid: Grid2D | None = None,
 
     ``warm`` carries the active set and the last Newton factor from one call
     to the next; it speeds up sequences of projections of nearby surfaces.
-    A projection of C already prepared in ``warm`` by a stacked solve is
-    returned without solving again.  ``warm.error_max`` is raised to the
-    result's bound on its Omega-distance from the exact projection.
+    ``warm.error_max`` is raised to the result's bound on its
+    Omega-distance from the exact projection.
     """
     if isinstance(C, Surface):
         grid = C.grid
@@ -789,12 +658,23 @@ def project_to_cone(C, w: WeightField, grid: Grid2D | None = None,
         warm = ProjectionWarmStart()
     if warm.key != key:
         warm.key, warm.active, warm.factor = key, np.zeros(0, dtype=np.intp), None
-        warm.prepared = {}
-    x = warm.prepared.pop(values.tobytes(), None) if warm.prepared else None
-    if x is None:
-        (x,), (active,) = _project_stack(cone, values.reshape(1, -1), warm)
-        if active is not None:
-            warm.active = active
+    warm.calls += 1
+    x = values.ravel()
+    v = cone.scale(x)
+    b = cone.values(v)
+    terms = cone.rounding(v)
+    if (b >= -cone.threshold(_ADD_TOL, _ADD_REL, terms)).all():
+        # in the cone up to the working-set threshold: returned unchanged,
+        # at most t ||z|| from its projection, the distance to the feasible
+        # point v + t z (_error_bound)
+        t = ((max(0.0, -float(b.min())) + _ROUND * float(terms.max()))
+             / cone.interior_min)
+        e = t * cone.interior_norm
+    else:
+        lam, check = _solve_dual(cone, v, b, warm)
+        u, warm.active, e = _certify(cone, lam, check)
+        x = u[:-1] / cone.sqrt_omega
+    warm.error_max = max(warm.error_max, e)
     # x is the checked input or passed its certificate, which no non-finite
     # point passes
     return Surface._trusted(np.maximum(x.reshape(values.shape), 0.0), grid)
@@ -819,15 +699,11 @@ def projection_certificates(C_raw, w: WeightField,
     homotopy from C_raw to its projection, at ``path_steps + 1`` equally
     spaced points.
 
-    C_raw is projected first; that projection is the end of the Dupire path,
-    and its active set is the working set every perturbed surface starts
-    from.  The perturbed surfaces are then solved in stacks of ``_STACK``
-    (the Newton steps of a stack share each factorisation, and its first
-    step, on the common working set, shares one factor), each certified on
-    its own, and each is returned through its own ``project_to_cone`` call.
-    The members do not couple (the stack's Gram matrix is block diagonal),
-    so the stack size bounds the solver's transient memory (see ``_STACK``)
-    and leaves the results as they are.
+    C_raw is projected first; that projection is the end of the Dupire path.
+    Each perturbed surface is then projected on its own, certified by
+    ``project_to_cone``, starting from where the base projection ended: its
+    active set as the first working set, and its kept factor, which serves
+    the first trial when that set is the base's last working set.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -843,22 +719,21 @@ def projection_certificates(C_raw, w: WeightField,
 
     warm = ProjectionWarmStart()
     proj = project_to_cone(base, w, grid=grid, warm=warm).values
-    cone, _ = _cone(grid, w.w * quadrature_matrix(grid))
+    start = warm.active, warm.factor
     rng = np.random.default_rng(rng_seed)
     scale = 0.01 * weighted_norm(base, w, grid)
     lip, delta = 0.0, np.inf
-    for lo in range(0, 2 * trials, _STACK):
-        d = rng.standard_normal((min(_STACK, 2 * trials - lo),) + base.shape)
+    for _ in range(trials):
+        d = rng.standard_normal((2,) + base.shape)
         d *= np.array([scale / weighted_norm(x, w, grid) for x in d])[:, None, None]
-        stack = base + d
-        solved, _ = _project_stack(cone, stack.reshape(len(stack), -1), warm)
-        warm.prepared = {x.tobytes(): y for x, y in zip(stack, solved)}
-        p = [project_to_cone(x, w, grid=grid, warm=warm).values for x in stack]
-        for i in range(0, len(stack), 2):
-            denom = weighted_norm(d[i] - d[i + 1], w, grid)
-            if denom > 0:
-                lip = max(lip, weighted_norm(p[i] - p[i + 1], w, grid) / denom)
-                delta = min(delta, denom)
+        p = []
+        for x in base + d:
+            warm.active, warm.factor = start
+            p.append(project_to_cone(x, w, grid=grid, warm=warm).values)
+        denom = weighted_norm(d[0] - d[1], w, grid)
+        if denom > 0:
+            lip = max(lip, weighted_norm(p[0] - p[1], w, grid) / denom)
+            delta = min(delta, denom)
 
     tvs = []
     for t in range(path_steps + 1):

@@ -255,9 +255,9 @@ def test_projection_refuses_a_result_that_fails_its_certificate(
     # be returned
     import arbsurf.projection as projection
 
-    def zero_multipliers(cone, V, B, warm):
-        L = np.zeros((len(V), cone.m))
-        return L, list(zip(*cone.check(V, L)))
+    def zero_multipliers(cone, v, b, warm):
+        lam = np.zeros(cone.m)
+        return lam, cone.check(v, lam)
 
     monkeypatch.setattr(projection, "_solve_dual", zero_multipliers)
     C = bs_surface_21x11 + np.random.default_rng(16).standard_normal(
@@ -400,22 +400,32 @@ def test_certificates_trials_validation(grid21x11, weight21x11):
 
 
 # ---------------------------------------------------------------------------
-# stacked projections of the Lipschitz pairs
+# projections of the Lipschitz pairs
 # ---------------------------------------------------------------------------
 
-def _record_stacks(monkeypatch):
-    """Record the inputs and outputs of every stacked solve."""
+def _record_projections(monkeypatch):
+    """Record the input and output of every ``project_to_cone`` call the
+    certificate makes, each once the call returns."""
     import arbsurf.projection as projection
     calls = []
-    original = projection._project_stack
+    original = projection.project_to_cone
 
-    def spy(cone, X, warm):
-        out, active = original(cone, X, warm)
-        calls.append((X.copy(), out.copy()))
-        return out, active
+    def spy(C, w, grid=None, warm=None):
+        out = original(C, w, grid=grid, warm=warm)
+        calls.append((np.array(C), out.values))
+        return out
 
-    monkeypatch.setattr(projection, "_project_stack", spy)
+    monkeypatch.setattr(projection, "project_to_cone", spy)
     return calls
+
+
+def _assert_members_match_cold_projections(calls, w, g):
+    """Every perturbed surface's projection (all calls but the base's)
+    within 1e-12 of its cold projection, and feasible."""
+    for x, got in calls[1:]:
+        ref = project_to_cone(x, w, grid=g).values
+        assert weighted_norm(got - ref, w, g) <= 1e-12 * weighted_norm(ref, w, g)
+        assert feasibility_violation(got, g) <= 1e-10
 
 
 def _serial_lipschitz(base, w, g, trials, rng_seed):
@@ -435,31 +445,18 @@ def _serial_lipschitz(base, w, g, trials, rng_seed):
     return lip, delta
 
 
-@pytest.mark.parametrize("pairs", ["one", "stack and three"])
+@pytest.mark.parametrize("trials", [1, 11], ids=["one", "eleven"])
 def test_stacked_members_match_single_projections(
-        monkeypatch, pairs, grid21x11, weight21x11, bs_surface_21x11):
-    import arbsurf.projection as projection
+        monkeypatch, trials, grid21x11, weight21x11, bs_surface_21x11):
+    # each perturbed surface starts from the base projection's active set
+    # and kept factor; its result must match a cold projection
     g, w = grid21x11, weight21x11
-    trials = 1 if pairs == "one" else projection._STACK + 3
     base = np.maximum(bs_surface_21x11 + 0.25 * np.random.default_rng(20).standard_normal(
         g.shape), 0.0)
-    calls = _record_stacks(monkeypatch)
+    calls = _record_projections(monkeypatch)
     certs = projection_certificates(base, w, trials=trials, rng_seed=3, grid=g)
-    # the base projection, then the members in stacks of at most _STACK
-    sizes = [len(X) for X, _ in calls]
-    members = 2 * trials
-    assert sizes[0] == 1
-    assert sizes[1:] == [min(projection._STACK, members - lo)
-                         for lo in range(0, members, projection._STACK)]
-    if trials > 1:
-        assert projection._STACK < members and members % projection._STACK
-    for X, out in calls[1:]:
-        for x, y in zip(X, out):
-            ref = project_to_cone(x.reshape(g.shape), w, grid=g).values
-            got = np.maximum(y.reshape(g.shape), 0.0)
-            assert weighted_norm(got - ref, w, g) <= 1e-12 * weighted_norm(ref, w, g)
-            assert feasibility_violation(got, g) <= 1e-10
-    assert certs.projections["calls"] == members + 1
+    assert len(calls) == certs.projections["calls"] == 2 * trials + 1
+    _assert_members_match_cold_projections(calls, w, g)
     lip, delta = _serial_lipschitz(base, w, g, trials, rng_seed=3)
     assert certs.lip_emp == pytest.approx(lip, rel=1e-12)
     assert certs.pair_distance_min == pytest.approx(delta, rel=1e-12)
@@ -469,71 +466,67 @@ def test_stacked_members_match_single_projections(
 
 def test_stacked_member_that_fails_its_certificate_raises(
         monkeypatch, grid21x11, weight21x11, bs_surface_21x11):
-    # one member of a stack is handed an all-zero dual; it must raise, not
-    # be returned among the others
+    # the first perturbed surface, not the base, is handed an all-zero dual;
+    # it must raise, not be returned
     import arbsurf.projection as projection
-    original = projection._solve_dual
+    original, solves = projection._solve_dual, []
 
-    def one_bad_member(cone, V, B, warm):
-        lam, checks = original(cone, V, B, warm)
-        if len(V) > 1:
-            lam[1] = 0.0
-            checks[1] = [a[0] for a in cone.check(V[1:2], lam[1:2])]
-        return lam, checks
+    def bad_member(cone, v, b, warm):
+        solves.append(1)
+        if len(solves) == 2:
+            lam = np.zeros(cone.m)
+            return lam, cone.check(v, lam)
+        return original(cone, v, b, warm)
 
-    monkeypatch.setattr(projection, "_solve_dual", one_bad_member)
+    monkeypatch.setattr(projection, "_solve_dual", bad_member)
     noisy = bs_surface_21x11 + 0.25 * np.random.default_rng(21).standard_normal(
         grid21x11.shape)
     with pytest.raises(RuntimeError, match="KKT certificate"):
         projection_certificates(np.maximum(noisy, 0.0), weight21x11, trials=8,
                                 grid=grid21x11)
+    assert len(solves) == 2
 
 
 def test_stacked_member_whose_trial_stalls_takes_the_safeguard(
         monkeypatch, grid21x11, weight21x11, bs_surface_21x11):
-    # Zeroed trial multipliers never lower the dual objective of one member,
-    # so only the safeguard step, whose own solves are left alone, moves it;
-    # the member must still come back certified and equal to its single
-    # projection.
+    # Zeroed trial multipliers never lower the dual objective of the first
+    # perturbed surface, so only the safeguard step, whose own solves are
+    # left alone, moves it; it must still come back certified and equal to
+    # its projection without the stall.
     import arbsurf.projection as projection
     g, w = grid21x11, weight21x11
-    target, inside, steps = [], [], []
+    inside, steps, guarded = [], [], []
     newton, safeguard = projection._newton, projection._safeguard
 
-    def stalled_newton(cone, B, inW, rows, warm):
-        lam_W, ok = newton(cone, B, inW, rows, warm)
-        if len(B) > 1 and not target:
-            target.append(B[0].copy())
-        hit = [i for i in range(len(B)) if target and np.array_equal(B[i], target[0])]
-        if hit and ok is None and not inside:
+    def stalled_newton(cone, b, W, warm):
+        lam_W = newton(cone, b, W, warm)
+        # calls holds the base's projection while the first perturbed
+        # surface is solved
+        if len(calls) == 1 and lam_W is not None and not inside:
             steps.append(1)
-            lam_W = np.where(rows // cone.m == hit[0], 0.0, lam_W)
-        return lam_W, ok
+            lam_W = np.zeros_like(lam_W)
+        return lam_W
 
-    def spy_safeguard(cone, V, L, warm):
+    def spy_safeguard(cone, v, lam, warm):
+        guarded.append(len(calls) == 1)
         inside.append(True)
         try:
-            return safeguard(cone, V, L, warm)
+            return safeguard(cone, v, lam, warm)
         finally:
             inside.pop()
 
     monkeypatch.setattr(projection, "_newton", stalled_newton)
     monkeypatch.setattr(projection, "_safeguard", spy_safeguard)
-    calls = _record_stacks(monkeypatch)
+    calls = _record_projections(monkeypatch)
     noisy = bs_surface_21x11 + 0.25 * np.random.default_rng(22).standard_normal(g.shape)
     certs = projection_certificates(np.maximum(noisy, 0.0), w, trials=8, grid=g)
-    # the stalled member is the first of the first stack; its first trial
-    # only moves the working set on, and every later one is followed by a
-    # safeguard step
+    # its first trial only moves the working set on, and every later one is
+    # followed by a safeguard step
     assert len(steps) >= 2
-    assert certs.projections["safeguard_steps"] >= len(steps) - 1
+    assert sum(guarded) >= len(steps) - 1
+    assert certs.projections["safeguard_steps"] == len(guarded)
     monkeypatch.setattr(projection, "_newton", newton)
-    for X, out in calls[1:]:
-        for x, y in zip(X, out):
-            ref = project_to_cone(x.reshape(g.shape), w, grid=g).values
-            got = np.maximum(y.reshape(g.shape), 0.0)
-            assert weighted_norm(got - ref, w, g) <= 1e-12 * weighted_norm(ref, w, g)
-            assert feasibility_violation(got, g) <= 1e-10
+    _assert_members_match_cold_projections(calls, w, g)
 
 
 def test_cold_projection_at_121x21_is_fast():
@@ -574,68 +567,11 @@ def test_degenerate_cold_projection_certifies(case):
     assert warm.factor_reuses <= warm.newton_steps < projection._NEWTON_STEPS // 4
 
 
-def _stack_of_members(g, w, base, k, seed):
-    """A cone and k perturbed copies of base in its scaled coordinates."""
-    import arbsurf.projection as projection
-    cone, _ = projection._cone(g, w.w * quadrature_matrix(g))
-    X = base.ravel() + 0.05 * np.random.default_rng(seed).standard_normal((k, base.size))
-    V = cone.scale(X)
-    return cone, V, cone.values(V)
-
-
-def test_stacked_gram_band_is_the_block_diagonal_of_the_members(
-        grid21x11, weight21x11, bs_surface_21x11):
-    cone, _, B = _stack_of_members(grid21x11, weight21x11, bs_surface_21x11, 5, 23)
-    inW = B < 0
-    bands = [cone.gram_band(inW[i].nonzero()[0]) for i in range(5)]
-    kd = max(b.shape[0] for b in bands)
-    expect = np.hstack([np.vstack([b, np.zeros((kd - b.shape[0], b.shape[1]))])
-                        for b in bands])
-    np.testing.assert_array_equal(cone.gram_band(inW.ravel().nonzero()[0], 5), expect)
-
-
-def test_stacked_newton_step_matches_single_steps(
-        grid21x11, weight21x11, bs_surface_21x11):
-    # one shared working set (one factor for all) and one working set per
-    # member (one block-diagonal band) give each member its own step
-    import arbsurf.projection as projection
-    cone, _, B = _stack_of_members(grid21x11, weight21x11, bs_surface_21x11, 5, 24)
-    for inW in (np.tile(B[0] < 0, (5, 1)), B < 0):
-        rows = inW.ravel().nonzero()[0]
-        lam, ok = projection._newton(cone, B, inW, rows, ProjectionWarmStart())
-        assert ok is None
-        for i in range(5):
-            W = inW[i].nonzero()[0]
-            single, _ = projection._newton(cone, B[i:i + 1], inW[i:i + 1], W,
-                                           ProjectionWarmStart())
-            np.testing.assert_allclose(lam[rows // cone.m == i], single, rtol=0,
-                                       atol=1e-12 * np.abs(single).max())
-
-
-def test_certificates_do_not_depend_on_the_stack_size(
-        monkeypatch, grid21x11, weight21x11, bs_surface_21x11):
-    # 2 * _STACK - 3 pairs: a member count neither _STACK nor 2 * _STACK
-    # divides, so both runs end on a partial stack
-    import arbsurf.projection as projection
-    trials = 2 * projection._STACK - 3
-    base = np.maximum(bs_surface_21x11 + 0.25 * np.random.default_rng(30).standard_normal(
-        grid21x11.shape), 0.0)
-    runs = []
-    for size in (projection._STACK, 2 * projection._STACK):
-        monkeypatch.setattr(projection, "_STACK", size)
-        runs.append(projection_certificates(base, weight21x11, trials=trials,
-                                            rng_seed=4, grid=grid21x11))
-    a, b = runs
-    assert a.lip_emp == b.lip_emp
-    assert np.array_equal(a.dup_tv_path, b.dup_tv_path)
-    assert a.projections["newton_steps"] == b.projections["newton_steps"]
-    assert a.projections["calls"] == b.projections["calls"] == 2 * trials + 1
-
-
 def test_certificate_peak_memory_stays_under_its_guard():
-    # the C3 certificate of the default market audited over 200 pairs: 400
-    # members in stacks of 8 peaked at 1.34 MB (2.59 MB in stacks of 16),
-    # set by the stacked Gram band and its index arrays
+    # the C3 certificate of the default market audited over 200 pairs, one
+    # perturbed surface at a time, peaked at 0.50 MB, as it does over 10
+    # pairs: the peak is one projection's, mostly the candidate points of
+    # a safeguard step's search, and does not grow with the pairs
     from arbsurf.pipeline import PipelineContext
     ctx = PipelineContext()
     ctx.stage_generate()
@@ -644,7 +580,7 @@ def test_certificate_peak_memory_stays_under_its_guard():
     project_to_cone(noisy, w)  # the cone is cached, not counted below
     peak = traced_peak(projection_certificates, noisy, w, trials=200,
                        path_steps=pc["path_steps"], rng_seed=ctx._seed("lip-pairs"))
-    assert peak <= 1.7e6
+    assert peak <= 0.6e6
 
 
 # ---------------------------------------------------------------------------
@@ -658,19 +594,17 @@ def _stopped_early(g, w, y):
     that of half the solved multipliers, which breaches the active rows."""
     import arbsurf.projection as projection
     cone, _ = projection._cone(g, w.w * quadrature_matrix(g))
-    V = cone.scale(np.asarray(y, float).reshape(1, -1))
-    B = cone.values(V)
-    inW = projection._breached(cone, B, cone.rounding(V))
-    lam_W, _ = projection._newton(cone, B, inW, inW.ravel().nonzero()[0],
-                                  ProjectionWarmStart())
+    v = cone.scale(np.asarray(y, float).ravel())
+    b = cone.values(v)
+    W = projection._breached(cone, b, cone.rounding(v)).nonzero()[0]
     first = np.zeros(cone.m)
-    first[inW[0]] = lam_W
-    solved, _ = projection._solve_dual(cone, V, B, ProjectionWarmStart())
+    first[W] = projection._newton(cone, b, W, ProjectionWarmStart())
+    solved, _ = projection._solve_dual(cone, v, b, ProjectionWarmStart())
     points = []
-    for lam in (np.maximum(first, 0.0), 0.5 * solved[0]):
-        U, S, T = cone.check(V, lam[None])
-        e = projection._error_bound(cone, lam, S[0], T[0])
-        x = np.maximum(U[0, :-1] / cone.sqrt_omega, 0.0)
+    for lam in (np.maximum(first, 0.0), 0.5 * solved):
+        u, s, t = cone.check(v, lam)
+        e = projection._error_bound(cone, lam, s, t)
+        x = np.maximum(u[:-1] / cone.sqrt_omega, 0.0)
         points.append((x.reshape(g.shape), e))
     return points
 
