@@ -1,4 +1,4 @@
-"""Batch pipeline: generate -> fit/compile -> bridge -> project -> chain ->
+"""Batch pipeline: generate -> fit/compile -> bridge -> project -> gate ->
 descend -> risk, with a machine-readable summary and per-stage artifacts.
 
 Stages pass their results in memory; with an output directory, some also
@@ -127,6 +127,9 @@ class RunConfig(dict):
 
     def __init__(self, user: dict | None = None):
         super().__init__(_merge_config(user))
+        if self["seed"] < 0:
+            raise ValueError("config key '/seed' must be a non-negative "
+                             "integer: it seeds numpy's SeedSequence")
         n_mat, n_k = self["grid"]["n_maturities"], self["grid"]["n_strikes"]
         if not 2 <= self["chain"]["n_maturities_used"] <= n_mat:
             raise ValueError(f"config key '/chain/n_maturities_used' must lie "
@@ -150,7 +153,10 @@ class RunConfig(dict):
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path) as fh:
-            return cls(json.load(fh))
+            doc = json.load(fh)
+        if doc is None:  # RunConfig(None) is the default config
+            raise ValueError(f"config file {path} holds null, not an object")
+        return cls(doc)
 
 
 def _json_default(o):
@@ -175,8 +181,8 @@ class PipelineContext:
 
     Each ``stage_*`` method reads what earlier stages left in ``art`` and
     writes its own results there, into ``summary`` and ``gates``, and, when
-    ``out_dir`` is set, into artifact files; callers run the stages in
-    dependency order.
+    ``out_dir`` is set, into artifact files; ``run_pipeline`` runs the
+    stages in dependency order.
     """
 
     def __init__(self, config: RunConfig | dict | None = None,
@@ -225,8 +231,7 @@ class PipelineContext:
         w = vega_bump_weight(grid, mc["spot"])
         report = check_mesh_admissibility(clean, grid, cfg["mesh"]["c1"],
                                           cfg["mesh"]["c2"])
-        self.art.update(grid=grid, weight=w, clean=clean, noisy=noisy,
-                        params=params)
+        self.art.update(grid=grid, weight=w, clean=clean, noisy=noisy)
         self.summary["mesh"] = {
             "h_K": grid.h_K, "h_tau": grid.h_tau,
             "envelope_K": report.envelope_K, "envelope_tau": report.envelope_tau,
@@ -290,8 +295,7 @@ class PipelineContext:
                 row["param_count"] = net.param_count
         w = self.art["weight"]
         Z = weighted_norm(self.art["clean"], w, grid)
-        self.art.update(fit_noisy=fit_noisy, fit_clean=fit_clean, G_hat=G_hat,
-                        G_clean=G_clean, relu_net=net, Z=Z)
+        self.art.update(G_hat=G_hat, Z=Z)
         self.summary["C1"] = {
             "level": sm["level"],
             "node_count": fit_noisy.n_vertices,
@@ -328,8 +332,7 @@ class PipelineContext:
             x, *marginals, feature_kind=bc["feature_kind"], rank=bc["rank"])
         kernels = bridge_mod.build_bridge(problem)
         state, certs = bridge_mod.tri_sinkhorn(problem, kernels, tol=bc["tol"])
-        self.art.update(bridge_problem=problem, bridge_kernels=kernels,
-                        bridge_state=state, bridge_certs=certs)
+        self.art["bridge_certs"] = certs
         self.summary["C2"] = {
             "KKT": certs.kkt,
             "KKT_components": list(certs.kkt_components),
@@ -365,7 +368,7 @@ class PipelineContext:
                                         rng_seed=self._seed("lip-pairs"))
         warm = ProjectionWarmStart()
         proj = project_to_cone(self.art["G_hat"], w, warm=warm)
-        self.art.update(proj_certs=certs, C_proj=proj)
+        self.art["C_proj"] = proj
         self._count_projections("certificates", certs.projections)
         self._count_projections("project", warm.counters())
         self.summary["C3"] = {
@@ -407,7 +410,7 @@ class PipelineContext:
         neff = np.asarray([cs.n_eff(n, alphas) for n in sizes])
         series = cs.ChainSeries(np.asarray(sizes, float), values, neff)
         decision = cs.gate_v2(series)
-        self.art.update(chain_series=series, gate_decision=decision)
+        self.art["gate_decision"] = decision
         self.summary["R2"] = {
             "sizes": sizes,
             "values": values.tolist(),
@@ -500,8 +503,6 @@ class PipelineContext:
         budget = risk_mod.assemble_risk(inputs)
         measured = 1.0 + weighted_norm(C_out.values - clean.values, w, grid) / Z
         bound_ok = measured <= budget.total * (1 + 1e-12)
-        self.art.update(C_out=C_out, risk_budget=budget,
-                        risk_measured=measured)
         self.summary["Risk"] = {
             "total": budget.total,
             "log_terms": list(budget.log_terms),
@@ -522,15 +523,21 @@ def strip_meta(summary: dict) -> dict:
     return {k: v for k, v in summary.items() if k != "meta"}
 
 
-def run_pipeline(config: dict | RunConfig | None = None, out_dir=None):
-    """Execute the full pipeline; returns (summary, exit_status).
+def run_pipeline(config: dict | RunConfig | None = None, out_dir=None,
+                 stage: str = STAGES[-1]):
+    """Run ``stage`` after the stages it depends on (by default the full
+    loop); returns (summary, exit_status), 0 iff every gate run passes.
 
-    Exit status 0 iff every gate passes; stage failures raise with the stage
-    named (the CLI maps that to a nonzero exit), except bridge convergence
-    failures, which surface as a failed C2 gate.
+    Every run ends alike: gates, ``all_pass`` and ``meta.timestamp`` in the
+    summary, written to ``summary.json`` under ``out_dir`` if set.  A stage
+    that raises is re-raised as a RuntimeError naming it (bridge convergence
+    failures surface as a failed C2 gate instead); an unusable ``out_dir``
+    raises OSError.
     """
+    if stage not in STAGE_DEPS:
+        raise ValueError(f"unknown stage {stage!r}: expected one of {STAGES}")
     ctx = PipelineContext(config, out_dir)
-    for name in STAGES:
+    for name in STAGE_DEPS[stage] + (stage,):
         try:
             ctx._timed(name, getattr(ctx, f"stage_{name}"))
         except Exception as exc:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -7,8 +8,9 @@ import pytest
 
 from arbsurf import bridge, chainstats, cpwl, projection
 from arbsurf.cli import main as cli_main
-from arbsurf.pipeline import (DEFAULT_CONFIG, PipelineContext, RunConfig,
-                              run_pipeline, strip_meta, summary_to_json)
+from arbsurf.pipeline import (DEFAULT_CONFIG, STAGE_DEPS, STAGES,
+                              PipelineContext, RunConfig, run_pipeline,
+                              strip_meta, summary_to_json)
 
 
 def _leaves(tree):
@@ -31,6 +33,8 @@ BAD_CONFIGS = [
     # a value whose type is not its default's
     {"grid": {"n_strikes": "31"}},
     {"seed": [1]},
+    # numpy's SeedSequence takes no negative seed
+    {"seed": -1},
     {"chain": {"sizes": 5}},
     {"market": {"noise_sigma": True}},
     # options of the projection that no longer exist
@@ -170,18 +174,46 @@ def test_cli_single_stage(tmp_path, capsys):
     assert "mesh" in doc
 
 
-def test_cli_stage_flag_equivalent(capsys):
-    rc = cli_main(["--stage", "generate"])
-    assert rc == 0
-
-
 def test_cli_bad_config_returns_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    for doc in [{"no_such_section": 1}] + BAD_CONFIGS:
+    # a file whose top level is not an object is no config either
+    for doc in [{"no_such_section": 1}, None, [1, 2]] + BAD_CONFIGS:
         bad.write_text(json.dumps(doc))
         rc = cli_main(["generate", "--config", str(bad)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+    # the seed override passes the same check as the file's seed
+    assert cli_main(["generate", "--seed", "-1"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_options_go_before_or_after_the_stage(tmp_path, capsys):
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert cli_main(["--seed", "3", "--out", str(a), "generate"]) == 0
+    assert cli_main(["generate", "--seed", "3", "--out", str(b)]) == 0
+    assert cli_main(["generate", "--out", str(c)]) == 0
+    assert ((a / "surfaces.json").read_text()
+            == (b / "surfaces.json").read_text()
+            != (c / "surfaces.json").read_text())
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"no_such_section": 1}))
+    assert cli_main(["--config", str(bad), "gate"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_unusable_out_returns_2(tmp_path, capsys):
+    # --out names a file, or its summary.json is a directory: one line on
+    # stderr and exit 2, which no gate verdict uses
+    a_file = tmp_path / "taken"
+    a_file.write_text("")
+    (tmp_path / "d" / "summary.json").mkdir(parents=True)
+    for out in (a_file, tmp_path / "d"):
+        assert cli_main(["generate", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_single_stage_names_the_stage_that_raised(tmp_path, capsys):
@@ -224,15 +256,47 @@ def test_cli_deep_stage_resolves_dependencies(tmp_path, capsys):
     assert doc["Risk"]["bound_holds"] is True
 
 
-def test_cli_single_stage_is_timed(capsys):
-    # a single-stage run times the requested stage and each dependency
-    rc = cli_main(["gate"])
+def test_cli_single_stage_is_timed(tmp_path, capsys):
+    # a single-stage run times the requested stage and each dependency, and
+    # finishes like a full run: its gates, all_pass, a timestamp and
+    # summary.json
+    rc = cli_main(["gate", "--out", str(tmp_path)])
     assert rc == 0
-    meta = json.loads(capsys.readouterr().out)["meta"]
+    printed = json.loads(capsys.readouterr().out)
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc == printed
+    assert set(doc["gates"]) == {"mesh", "C1_relu", "C3_lip", "C3_dup",
+                                 "R2_gate"}
+    assert doc["all_pass"] is (rc == 0)
+    meta = doc["meta"]
     counters = ("calls", "newton_steps", "factor_reuses", "safeguard_steps",
                 "error_max")
     assert set(meta) == {"wall_generate", "wall_fit", "wall_project",
-                         "wall_gate"} | {f"proj_{sequence}_{name}"
-                                         for sequence in ("certificates", "project")
-                                         for name in counters}
+                         "wall_gate", "timestamp"} | {
+                             f"proj_{sequence}_{name}"
+                             for sequence in ("certificates", "project")
+                             for name in counters}
     assert all(t >= 0 for t in meta.values())
+
+
+def test_stage_graph_lists_each_stage_after_its_dependencies():
+    for stage, deps in STAGE_DEPS.items():
+        assert all(STAGES.index(d) < STAGES.index(stage) for d in deps), stage
+        for d in deps:
+            assert set(STAGE_DEPS[d]) <= set(deps), (stage, d)
+    # the default run_pipeline is the full run
+    assert STAGE_DEPS[STAGES[-1]] + (STAGES[-1],) == STAGES
+
+
+def test_run_pipeline_rejects_an_unknown_stage(tmp_path):
+    with pytest.raises(ValueError, match=re.escape(str(STAGES))):
+        run_pipeline(out_dir=tmp_path / "out", stage="chain")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_all_is_the_last_stage(capsys):
+    outputs = []
+    for stage in ("risk", "all"):
+        assert cli_main([stage]) == 0
+        outputs.append(strip_meta(json.loads(capsys.readouterr().out)))
+    assert outputs[0] == outputs[1]
