@@ -16,13 +16,12 @@ from .cpwl import CpwlFunction, ReluNet, compile_to_relu, triangulate_tensor_gri
 from .smolyak import (AnisotropyConfig, build_index_set, error_frontier,
                       smolyak_fit)
 from .projection import (ProjectionCertificates, ProjectionWarmStart,
-                         pav_isotonic, project_to_cone,
-                         projection_certificates)
+                         project_to_cone, projection_certificates)
 from .bridge import (BridgeState, CertificateSet, TriMarginalProblem,
                      build_bridge, certify, dual_value, kkt_residual,
                      primal_value, tri_sinkhorn)
 from .chainstats import (ChainSeries, GateDecision, KernelMixture, gate_v2,
-                         n_eff, tail_diagnostics, tolerance_band)
+                         n_eff, pav_isotonic, tail_diagnostics, tolerance_band)
 from .descent import (DescentConfig, PathGraph, chain_dirichlet_energy,
                       path_laplacian, projected_descent)
 from .risk import RiskBudget, assemble_risk, eps_prox

@@ -6,7 +6,9 @@ and the audit certificates (KKT residual, geometric tail ratio, whitened-Gram
 strong-convexity proxy).  The entropy is taken against the product of the
 marginals, so the coupling has the Gibbs form m1*m2*m3 * K * u v w with
 log-scalings kept finite; all marginalizations stream through O(n^2)
-log-sum-exp reductions, never a full 3-tensor.
+log-sum-exp reductions, never a full 3-tensor.  The three marginals live on
+one grid and both edges, X1-X2 and X2-X3, carry the same cost, so one Gibbs
+kernel per epsilon serves both.
 
 The log-sum-exp is a numpy port of ``scipy.special.logsumexp`` as of scipy
 1.17 (same steps, so the same bits), which keeps ``scipy.special`` out of the
@@ -79,23 +81,25 @@ def _logsumexp(a, axis=None, keepdims=False):
 
 @dataclass
 class TriMarginalProblem:
-    """Three marginals on a common coordinate grid plus the bridge cost."""
+    """Three marginals on a common coordinate grid of at least 2 atoms plus
+    the cost of both edges; ``log_m`` holds the marginals' logs."""
 
     x: np.ndarray
     m1: np.ndarray
     m2: np.ndarray
     m3: np.ndarray
     epsilon_schedule: tuple = (1.0, 0.3, 0.1, 0.03)
-    cost: tuple | None = None          # (c12, c23) matrices; None = squared distance
+    cost: np.ndarray | None = None     # both edges' cost; None = squared distance
     rank: int | None = None
     feature_kind: str = "dense"
     martingale_shift: float = 0.0
+    log_m: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-        if self.x.ndim != 1:
-            raise ValueError("x must be a 1D coordinate grid")
-        if self.x.size > 1 and np.any(np.diff(self.x) <= 0):
+        if self.x.ndim != 1 or self.x.size < 2:
+            raise ValueError("x must be a 1D coordinate grid of at least 2 atoms")
+        if np.any(np.diff(self.x) <= 0):
             raise ValueError("x must be strictly increasing")
         for name in ("m1", "m2", "m3"):
             m = np.asarray(getattr(self, name), dtype=float)
@@ -106,6 +110,8 @@ class TriMarginalProblem:
             if abs(m.sum() - 1.0) > 1e-12:
                 raise ValueError(f"{name} must sum to 1")
             setattr(self, name, m)
+        with np.errstate(divide="ignore"):
+            self.log_m = tuple(np.log(m) for m in (self.m1, self.m2, self.m3))
         eps = np.asarray(self.epsilon_schedule, dtype=float)
         if eps.size == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
             raise ValueError("epsilon_schedule must be nonempty, strictly decreasing "
@@ -120,14 +126,10 @@ class TriMarginalProblem:
     def n(self) -> int:
         return self.x.size
 
-    def cost_matrices(self):
+    def cost_matrix(self) -> np.ndarray:
         if self.cost is not None:
-            c12, c23 = (np.asarray(c, dtype=float) for c in self.cost)
-        else:
-            d = self.x[:, None] - self.x[None, :]
-            c12 = d**2
-            c23 = d**2
-        return c12, c23
+            return np.asarray(self.cost, dtype=float)
+        return (self.x[:, None] - self.x[None, :]) ** 2
 
     def martingale_rhs(self) -> float:
         return float(0.5 * (self.x @ self.m1 + self.x @ self.m3)
@@ -137,26 +139,18 @@ class TriMarginalProblem:
 @dataclass
 class StageKernels:
     eps: float
-    logK12: np.ndarray
-    logK23: np.ndarray
+    logK: np.ndarray
 
 
 @dataclass
 class BridgeKernels:
-    """Log-kernels of every annealing stage, and the final stage's whitened
-    middle factor ``phi2`` (identity-diagonal Gram) and low-rank error proxy
-    ``delta``, which the certificates read."""
+    """Log-kernels of every annealing stage, in schedule order, and the final
+    stage's whitened middle factor ``phi2`` (identity-diagonal Gram) and
+    low-rank error proxy ``delta``, which the certificates read."""
 
     stages: list
-    problem: TriMarginalProblem
     phi2: np.ndarray
     delta: float
-
-    def stage(self, eps: float) -> StageKernels:
-        for st in self.stages:
-            if abs(st.eps - eps) <= 1e-15 * max(1.0, eps):
-                return st
-        raise KeyError(f"no kernels built for eps={eps}")
 
     @property
     def final(self) -> StageKernels:
@@ -168,13 +162,13 @@ def _whiten_factor(phi: np.ndarray) -> np.ndarray:
     singular values below 1e-10 of the largest: the whitened factor, with an
     identity-diagonal Gram."""
     U, s, Vt = np.linalg.svd(phi, full_matrices=False)
-    keep = s >= 1e-10 * s[0] if s.size else slice(None)
+    keep = s >= 1e-10 * s[0]
     return U[:, keep] @ Vt[keep]
 
 
 def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
-    """Gibbs kernels per annealing stage, and the final stage's whitened
-    factor and low-rank error proxy.
+    """The Gibbs kernel of each annealing stage, and the final stage's
+    whitened factor and low-rank error proxy.
 
     Dense mode stores exact log-kernels -c/eps.  Nystrom mode (evenly spaced
     landmark columns) materializes the rank-limited kernel (memory stays
@@ -183,48 +177,41 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
     residual.
     """
     n = problem.n
-    c12, c23 = problem.cost_matrices()
+    c = problem.cost_matrix()
     schedule = problem.epsilon_schedule
-    if problem.feature_kind == "dense" or n == 1:
-        stages = [StageKernels(eps, -c12 / eps, -c23 / eps) for eps in schedule]
-        U, s, Vt = np.linalg.svd(np.exp(-c12 / schedule[-1]))
+    if problem.feature_kind == "dense":
+        stages = [StageKernels(eps, -c / eps) for eps in schedule]
+        U, s, Vt = np.linalg.svd(np.exp(-c / schedule[-1]))
         keep = s >= 1e-10 * s[0]
         phi2 = _whiten_factor(Vt[keep].T * np.sqrt(s[keep]))
-        return BridgeKernels(stages=stages, problem=problem, phi2=phi2, delta=0.0)
+        return BridgeKernels(stages=stages, phi2=phi2, delta=0.0)
     rank = n if problem.rank is None else problem.rank
     idx = np.unique(np.linspace(0, n - 1, rank).round().astype(int))
     stages = []
     for eps in schedule:
-        K12 = np.exp(-c12 / eps)
-        K23 = np.exp(-c23 / eps)
-        C12, W12 = K12[:, idx], K12[np.ix_(idx, idx)]
-        C23, W23 = K23[:, idx], K23[np.ix_(idx, idx)]
-        lam12, V12 = np.linalg.eigh(W12)
-        lam23, V23 = np.linalg.eigh(W23)
-        lam12 = np.maximum(lam12, 1e-12 * lam12.max())
-        lam23 = np.maximum(lam23, 1e-12 * lam23.max())
-        phi12 = C12 @ V12 / np.sqrt(lam12)[None, :]
-        phi23 = C23 @ V23 / np.sqrt(lam23)[None, :]
-        K12_hat = phi12 @ phi12.T
-        K23_hat = phi23 @ phi23.T
-        stages.append(StageKernels(eps, np.log(np.maximum(K12_hat, 1e-300)),
-                                   np.log(np.maximum(K23_hat, 1e-300))))
-    # the loop leaves the final stage's kernels and factor
-    delta = max(weighted_operator_norm(K12 - K12_hat, np.ones(n), n_iter=120),
-                weighted_operator_norm(K23 - K23_hat, np.ones(n), n_iter=120))
-    return BridgeKernels(stages=stages, problem=problem, phi2=_whiten_factor(phi12),
-                         delta=float(delta))
+        K = np.exp(-c / eps)
+        lam, V = np.linalg.eigh(K[np.ix_(idx, idx)])
+        lam = np.maximum(lam, 1e-12 * lam.max())
+        phi = K[:, idx] @ V / np.sqrt(lam)[None, :]
+        K_hat = phi @ phi.T
+        stages.append(StageKernels(eps, np.log(np.maximum(K_hat, 1e-300))))
+    # the loop leaves the final stage's kernel and factor
+    delta = weighted_operator_norm(K - K_hat, np.ones(n), n_iter=120)
+    return BridgeKernels(stages=stages, phi2=_whiten_factor(phi), delta=float(delta))
 
 
 @dataclass
 class BridgeState:
-    """Log-domain dual scalings; log_v excludes the eta*x/eps tilt."""
+    """Log-domain dual scalings; log_v excludes the eta*x/eps tilt.
+
+    ``residual_trace`` holds every sweep's residuals; ``stage_traces`` one
+    list per annealing stage, which omits the eps-backtrack's sweeps at the
+    previous eps."""
 
     log_u: np.ndarray
     log_v: np.ndarray
     log_w: np.ndarray
     eta: float
-    epsilon: float
     residual_trace: list = field(default_factory=list)
     stage_traces: list = field(default_factory=list)
     damping: float = 1.0
@@ -263,33 +250,29 @@ class _LogMarginals:
 
     def __init__(self, problem: TriMarginalProblem, st: StageKernels,
                  state: BridgeState):
-        with np.errstate(divide="ignore"):
-            lm1 = np.log(problem.m1)
-            lm2 = np.log(problem.m2)
-            lm3 = np.log(problem.m3)
+        lm1, lm2, lm3 = problem.log_m
         self.A = lm1 + state.log_u
         self.B = lm2 + state.log_v + state.eta * problem.x / st.eps
         self.C = lm3 + state.log_w
-        self.logK12 = st.logK12
-        self.logK23 = st.logK23
+        self.logK = st.logK
 
     def log_S(self):
-        # S_j = sum_k K23[j,k] exp(C_k)
-        return _logsumexp(self.logK23 + self.C[None, :], axis=1)
+        # S_j = sum_k K[j,k] exp(C_k)
+        return _logsumexp(self.logK + self.C[None, :], axis=1)
 
     def log_R(self):
-        # R_j = sum_i K12[i,j] exp(A_i)
-        return _logsumexp(self.logK12 + self.A[:, None], axis=0)
+        # R_j = sum_i K[i,j] exp(A_i)
+        return _logsumexp(self.logK + self.A[:, None], axis=0)
 
     def log_P1(self):
-        return self.A + _logsumexp(self.logK12 + (self.B + self.log_S())[None, :],
+        return self.A + _logsumexp(self.logK + (self.B + self.log_S())[None, :],
                                    axis=1)
 
     def log_P2(self):
         return self.B + self.log_R() + self.log_S()
 
     def log_P3(self):
-        return self.C + _logsumexp(self.logK23 + (self.B + self.log_R())[:, None],
+        return self.C + _logsumexp(self.logK + (self.B + self.log_R())[:, None],
                                    axis=0)
 
 
@@ -304,10 +287,10 @@ def _residual_tuple(problem, st, state, conv_components=(0, 1, 2, 3)):
     r3 = float(np.max(np.abs(p3 - problem.m3)))
     comps = (r1, r2, r3, abs(mart))
     conv = max(comps[i] for i in conv_components)
-    return comps + (conv,), p2
+    return comps + (conv,)
 
 
-def _eta_newton(problem, st, state, max_iter: int = 40):
+def _eta_newton(problem, st, state):
     """Safeguarded 1D Newton on the martingale violation, bisection fallback."""
     x = problem.x
     eps = st.eps
@@ -329,7 +312,7 @@ def _eta_newton(problem, st, state, max_iter: int = 40):
         # root not bracketed: fall back to the best endpoint
         return lo if abs(glo) < abs(ghi) else hi
     delta = 0.0
-    for _ in range(max_iter):
+    for _ in range(40):  # Newton or bisection steps
         val, z = g(delta)
         if abs(val) <= 1e-14 * (1.0 + abs(b)):
             break
@@ -370,31 +353,25 @@ def tri_sinkhorn(problem: TriMarginalProblem,
     if kernels is None:
         kernels = build_bridge(problem)
     n = problem.n
-    if n == 1:
-        state = BridgeState(np.zeros(1), np.zeros(1), np.zeros(1), 0.0,
-                            problem.epsilon_schedule[-1])
-        state.residual_trace = [(0.0, 0.0, 0.0, 0.0, 0.0)]
-        state.stage_traces = [[(0.0, 0.0, 0.0, 0.0, 0.0)]]
-        certs = CertificateSet(kkt=0.0, kkt_components=(0.0,) * 4, r_geo=0.0,
-                               mu_hat=max(2.0 + GRAM_RIDGE, MU_HAT_FLOOR),
-                               iterations=1,
-                               epsilon_final=problem.epsilon_schedule[-1])
-        return state, certs
-
-    state = BridgeState(np.zeros(n), np.zeros(n), np.zeros(n), 0.0,
-                        problem.epsilon_schedule[0])
+    state = BridgeState(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
     state.damping = DAMPING_MAX
     active1 = problem.m1 > 0
     active2 = (problem.m2 > 0) if update_middle else np.zeros(n, dtype=bool)
     active3 = problem.m3 > 0
-    with np.errstate(divide="ignore"):
-        lm1 = np.log(problem.m1)
-        lm2 = np.log(problem.m2)
-        lm3 = np.log(problem.m3)
+    lm1, lm2, lm3 = problem.log_m
 
     conv_components = (0, 1, 2, 3) if update_middle else (0, 2, 3)
 
-    def run_stage(st, state, t_budget, stage_tol, min_iters=1):
+    def rescale(factor):
+        # the log-scalings are potentials over eps: a move from eps to eps'
+        # multiplies them by eps / eps'
+        state.log_u *= factor
+        state.log_v *= factor
+        state.log_w *= factor
+
+    def run_stage(st, t_budget, min_iters=1):
+        """Sweep at ``st``'s eps; every sweep joins ``residual_trace``, and
+        the stage's own trace is returned."""
         gamma = state.damping
         trace = []
         increases = 0
@@ -407,7 +384,7 @@ def tri_sinkhorn(problem: TriMarginalProblem,
             lm = _LogMarginals(problem, st, state)
             state.log_w[active3] += gamma * (lm3[active3] - lm.log_P3()[active3])
             state.eta += _eta_newton(problem, st, state)
-            comps, _ = _residual_tuple(problem, st, state, conv_components)
+            comps = _residual_tuple(problem, st, state, conv_components)
             trace.append(comps)
             res = comps[4]
             if len(trace) >= 2:
@@ -423,61 +400,47 @@ def tri_sinkhorn(problem: TriMarginalProblem,
                 if prev > 0 and (prev - res) / prev < 1e-3:
                     if gamma < DAMPING_MAX:
                         gamma = min(1.5 * gamma, DAMPING_MAX)
-                    elif res <= stage_tol:
+                    elif res <= tol:
                         break
                     elif len(trace) > 30 and (prev - res) / prev < 1e-9:
                         break  # hard stagnation
-            if res <= stage_tol and len(trace) >= min_iters:
+            if res <= tol and len(trace) >= min_iters:
                 break
         state.damping = gamma
+        state.residual_trace.extend(trace)
         return trace
 
-    schedule = list(problem.epsilon_schedule)
-    for si, eps in enumerate(schedule):
-        st = kernels.stage(eps)
+    def extend_final(t_budget):
+        state.stage_traces[-1].extend(run_stage(kernels.final, t_budget))
+
+    for si, st in enumerate(kernels.stages):
         if si > 0:
-            scale = schedule[si - 1] / eps
-            state.log_u *= scale
-            state.log_v *= scale
-            state.log_w *= scale
-        state.epsilon = eps
-        final_stage = si == len(schedule) - 1
-        trace = run_stage(st, state, t_max, tol,
-                          min_iters=MIN_FINAL_ITERS if final_stage else 1)
-        state.stage_traces.append(trace)
-        state.residual_trace.extend(trace)
+            rescale(kernels.stages[si - 1].eps / st.eps)
+        state.stage_traces.append(
+            run_stage(st, t_max, MIN_FINAL_ITERS if st is kernels.final else 1))
 
     # fallback ladder if the final KKT misses the tolerance
     def final_kkt():
-        comps, _ = _residual_tuple(problem, kernels.final, state, conv_components)
-        return comps[4]
+        return _residual_tuple(problem, kernels.final, state, conv_components)[4]
 
     if final_kkt() > tol:
         state.fallbacks_taken.append("marginal_rebalance")
         saved, state.damping = state.damping, 1.0
-        trace = run_stage(kernels.final, state, 10, tol)
-        state.stage_traces[-1].extend(trace)
-        state.residual_trace.extend(trace)
+        extend_final(10)
         state.damping = saved
     if final_kkt() > tol:
         state.fallbacks_taken.append("damping_increase")
         state.damping = max(DAMPING_MIN, 0.5 * state.damping)
-        trace = run_stage(kernels.final, state, t_max // 2, tol)
-        state.stage_traces[-1].extend(trace)
-        state.residual_trace.extend(trace)
-    if final_kkt() > tol and len(schedule) >= 2:
+        extend_final(t_max // 2)
+    if final_kkt() > tol and len(kernels.stages) >= 2:
         state.fallbacks_taken.append("eps_backtrack")
-        prev_eps, last_eps = schedule[-2], schedule[-1]
-        state.log_u *= last_eps / prev_eps
-        state.log_v *= last_eps / prev_eps
-        state.log_w *= last_eps / prev_eps
-        run_stage(kernels.stage(prev_eps), state, t_max // 2, tol)
-        state.log_u *= prev_eps / last_eps
-        state.log_v *= prev_eps / last_eps
-        state.log_w *= prev_eps / last_eps
-        trace = run_stage(kernels.final, state, t_max // 2, tol)
-        state.stage_traces[-1].extend(trace)
-        state.residual_trace.extend(trace)
+        prev, last = kernels.stages[-2], kernels.final
+        rescale(last.eps / prev.eps)
+        # these sweeps count as iterations, but r_geo reads the final
+        # stage's trace, which they are not part of
+        run_stage(prev, t_max // 2)
+        rescale(prev.eps / last.eps)
+        extend_final(t_max // 2)
 
     state.converged = final_kkt() <= tol
     certs = certify(state, problem, kernels)
@@ -487,8 +450,7 @@ def tri_sinkhorn(problem: TriMarginalProblem,
 def kkt_residual(state: BridgeState, problem: TriMarginalProblem,
                  kernels: BridgeKernels):
     """(kkt, components): three sup-norm marginal errors + |martingale violation|."""
-    st = kernels.stage(state.epsilon)
-    comps, _ = _residual_tuple(problem, st, state)
+    comps = _residual_tuple(problem, kernels.final, state)
     return comps[4], comps[:4]
 
 
@@ -535,7 +497,7 @@ def dual_value(state: BridgeState, problem: TriMarginalProblem,
     with slope eta, which is what the shadow-price sensitivity reads off.
     """
     if st is None:
-        st = kernels.stage(state.epsilon)
+        st = kernels.final
     eps = st.eps
     lm = _LogMarginals(problem, st, state)
     mass = float(np.exp(_logsumexp(lm.log_P1())))
@@ -555,12 +517,12 @@ def coupling_pairwise(state: BridgeState, problem: TriMarginalProblem,
                       kernels: BridgeKernels, st: StageKernels | None = None):
     """Pairwise marginals (P12, P23) of the implied coupling, O(n^2)."""
     if st is None:
-        st = kernels.stage(state.epsilon)
+        st = kernels.final
     lm = _LogMarginals(problem, st, state)
     logS = lm.log_S()
     logR = lm.log_R()
-    logP12 = lm.A[:, None] + st.logK12 + (lm.B + logS)[None, :]
-    logP23 = (lm.B + logR)[:, None] + st.logK23 + lm.C[None, :]
+    logP12 = lm.A[:, None] + st.logK + (lm.B + logS)[None, :]
+    logP23 = (lm.B + logR)[:, None] + st.logK + lm.C[None, :]
     return np.exp(logP12), np.exp(logP23)
 
 
@@ -568,18 +530,18 @@ def primal_value(state: BridgeState, problem: TriMarginalProblem,
                  kernels: BridgeKernels, st: StageKernels | None = None) -> float:
     """Primal objective <C, Pi> + eps * KL(Pi || m1 x m2 x m3)."""
     if st is None:
-        st = kernels.stage(state.epsilon)
+        st = kernels.final
     eps = st.eps
-    c12, c23 = problem.cost_matrices()
+    c = problem.cost_matrix()
     P12, P23 = coupling_pairwise(state, problem, kernels, st)
     lm = _LogMarginals(problem, st, state)
     p1 = np.exp(lm.log_P1())
     p2 = np.exp(lm.log_P2())
     p3 = np.exp(lm.log_P3())
-    cost = float(np.sum(c12 * P12) + np.sum(c23 * P23))
+    cost = float(np.sum(c * P12) + np.sum(c * P23))
     # KL against the product reference through the Gibbs form:
     # log(Pi/ref) = log u_i + (log v_j + eta x_j / eps) + log w_k + logK
     tilt = state.log_v + state.eta * problem.x / eps
     kl = (state.log_u @ p1 + tilt @ p2 + state.log_w @ p3
-          + float(np.sum(st.logK12 * P12) + np.sum(st.logK23 * P23)))
+          + float(np.sum(st.logK * P12) + np.sum(st.logK * P23)))
     return cost + eps * float(kl)

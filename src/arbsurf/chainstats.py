@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import pav_isotonic
-
 __all__ = [
     "KernelMixture",
     "ChainSeries",
@@ -31,6 +29,7 @@ __all__ = [
     "chain_energy_counts",
     "n_eff",
     "bartlett_alphas",
+    "pav_isotonic",
     "fir_smoother",
     "tail_diagnostics",
     "tolerance_band",
@@ -322,6 +321,48 @@ class GateDecision:
     tail_indices: tuple
     envelope_direction: str = "nonincreasing"
     fir_l1: float = 0.0
+
+
+def pav_isotonic(seq, weights, direction: str = "nondecreasing") -> np.ndarray:
+    """Weighted least-squares projection onto the monotone cone (PAV).
+
+    Pool-adjacent-violators with block weighted averages; idempotent and
+    weighted-mean preserving.
+    """
+    y = np.asarray(seq, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError("seq must be a nonempty 1D sequence")
+    if w.shape != y.shape:
+        raise ValueError("weights must match seq length")
+    if np.any(w <= 0):
+        raise ValueError("weights must be positive")
+    if direction == "nonincreasing":
+        return -pav_isotonic(-y, w, "nondecreasing")
+    if direction != "nondecreasing":
+        raise ValueError("direction must be 'nondecreasing' or 'nonincreasing'")
+
+    # blocks as (weighted sum, weight, count)
+    means = []
+    wsum = []
+    count = []
+    for yi, wi in zip(y, w):
+        means.append(yi)
+        wsum.append(wi)
+        count.append(1)
+        while len(means) > 1 and means[-2] > means[-1] + 0.0:
+            m2, w2, c2 = means.pop(), wsum.pop(), count.pop()
+            m1, w1, c1 = means.pop(), wsum.pop(), count.pop()
+            wt = w1 + w2
+            means.append((m1 * w1 + m2 * w2) / wt)
+            wsum.append(wt)
+            count.append(c1 + c2)
+    out = np.empty_like(y)
+    pos = 0
+    for m, c in zip(means, count):
+        out[pos:pos + c] = m
+        pos += c
+    return out
 
 
 def fir_smoother() -> np.ndarray:

@@ -92,28 +92,27 @@ def _type_name(default) -> str:
     return type(default).__name__
 
 
-def _merge_config(user: dict | None, defaults: dict = DEFAULT_CONFIG,
+def _merge_config(user: dict, defaults: dict = DEFAULT_CONFIG,
                   path: str = "") -> dict:
-    """Fill missing keys from defaults; reject unknown keys, a section that
-    is not an object, a value that is one and a value whose type is not its
-    default's."""
+    """Fill missing keys from defaults; reject unknown keys, a null, a
+    section that is not an object, a value that is one and a value whose
+    type is not its default's."""
     out = {}
-    if user is None:
-        user = {}
-    elif not isinstance(user, dict):
+    if not isinstance(user, dict):
         raise ValueError(f"config section '{path or '.'}' must be an object, "
                          f"not {type(user).__name__}")
     unknown = set(user) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys at '{path or '.'}': {sorted(unknown)}")
     for key, dval in defaults.items():
-        uval = user.get(key, None)
+        uval = user.get(key, {} if isinstance(dval, dict) else dval)
+        if uval is None:
+            raise ValueError(f"config key '{path}/{key}' is null: leave it out "
+                             "to take the default")
         if isinstance(dval, dict):
             out[key] = _merge_config(uval, dval, f"{path}/{key}")
         elif isinstance(uval, dict):
             raise ValueError(f"config key '{path}/{key}' must not be an object")
-        elif uval is None:
-            out[key] = dval
         elif not _same_type(uval, dval):
             raise ValueError(f"config key '{path}/{key}' must be of type "
                              f"{_type_name(dval)}, not {uval!r}")
@@ -126,7 +125,7 @@ class RunConfig(dict):
     """Validated pipeline configuration tree."""
 
     def __init__(self, user: dict | None = None):
-        super().__init__(_merge_config(user))
+        super().__init__(_merge_config({} if user is None else user))
         if self["seed"] < 0:
             raise ValueError("config key '/seed' must be a non-negative "
                              "integer: it seeds numpy's SeedSequence")

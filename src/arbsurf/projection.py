@@ -32,7 +32,6 @@ degenerate duals, a descent step takes over: Newton on rows freed by
 Lawson and Hanson's rule, searched along the projection arc's breakpoints
 (More and Toraldo 1991).  Both solve with banded Cholesky factors, and a
 factor made for one working set serves a later trial on the same set.
-``pav_isotonic`` projects one strike's column onto the calendar family.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .grid import Grid2D, Surface, WeightField, quadrature_matrix, weighted_norm
 __all__ = [
     "ProjectionCertificates",
     "ProjectionWarmStart",
-    "pav_isotonic",
     "project_to_cone",
     "projection_certificates",
     "feasibility_violation",
@@ -150,48 +148,6 @@ class ProjectionWarmStart:
                 "factor_reuses": self.factor_reuses,
                 "safeguard_steps": self.safeguard_steps,
                 "error_max": self.error_max}
-
-
-def pav_isotonic(seq, weights, direction: str = "nondecreasing") -> np.ndarray:
-    """Weighted least-squares projection onto the monotone cone (PAV).
-
-    Pool-adjacent-violators with block weighted averages; idempotent and
-    weighted-mean preserving.
-    """
-    y = np.asarray(seq, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("seq must be a nonempty 1D sequence")
-    if w.shape != y.shape:
-        raise ValueError("weights must match seq length")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    if direction == "nonincreasing":
-        return -pav_isotonic(-y, w, "nondecreasing")
-    if direction != "nondecreasing":
-        raise ValueError("direction must be 'nondecreasing' or 'nonincreasing'")
-
-    # blocks as (weighted sum, weight, count)
-    means = []
-    wsum = []
-    count = []
-    for yi, wi in zip(y, w):
-        means.append(yi)
-        wsum.append(wi)
-        count.append(1)
-        while len(means) > 1 and means[-2] > means[-1] + 0.0:
-            m2, w2, c2 = means.pop(), wsum.pop(), count.pop()
-            m1, w1, c1 = means.pop(), wsum.pop(), count.pop()
-            wt = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / wt)
-            wsum.append(wt)
-            count.append(c1 + c2)
-    out = np.empty_like(y)
-    pos = 0
-    for m, c in zip(means, count):
-        out[pos:pos + c] = m
-        pos += c
-    return out
 
 
 def _second_difference_matrix(x: np.ndarray) -> np.ndarray:

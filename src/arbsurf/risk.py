@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid2D, WeightField, weighted_norm
+from .grid import Grid2D, Surface, WeightField, _as_values, weighted_norm
 
 __all__ = ["RiskBudget", "eps_prox", "assemble_risk"]
 
@@ -38,7 +38,6 @@ def eps_prox(C_pre, C_post, C_target, w: WeightField,
              grid: Grid2D | None = None) -> float:
     """Proximal budget ||post - pre||_w / ||pre - target||_w, 0 when the
     denominator vanishes."""
-    from .grid import Surface, _as_values
     if grid is None:
         for c in (C_pre, C_post, C_target):
             if isinstance(c, Surface):

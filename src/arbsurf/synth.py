@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fd import FdConfig, fd_derivatives
-from .grid import Grid2D, Surface
+from .grid import Grid2D, Surface, _as_values, trapezoid_weights
+from .projection import feasibility_violation
 
 __all__ = [
     "MarketParams",
@@ -168,7 +169,6 @@ def generate_surface(params: MarketParams, grid: Grid2D):
     K, T = np.meshgrid(grid.strikes, grid.maturities)
     sig = params.sigma(K, T)
     clean = bs_price(params.spot, K, T, sig, params.rate, params.dividend)
-    from .projection import feasibility_violation
     viol = feasibility_violation(clean, grid)
     if viol > 1e-9:
         raise ValueError(
@@ -192,7 +192,6 @@ def extract_density(C, grid: Grid2D, tau_index: int,
     ``DENSITY_CLIP`` set to 0, renormalized to sum 1.  Returns (density,
     renormalization_factor).
     """
-    from .grid import _as_values, trapezoid_weights
     values = _as_values(C)
     c_kk, _ = fd_derivatives(values, grid, fd)
     row = c_kk[tau_index]

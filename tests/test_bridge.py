@@ -29,8 +29,8 @@ def make_problem(eps=(1.0,), **kw):
 def oracle_primal(problem, eps, tol=1e-14):
     """Constrained minimization of the entropic primal over the full tensor."""
     n = problem.n
-    c12, c23 = problem.cost_matrices()
-    C = c12[:, :, None] + c23[None, :, :]
+    c = problem.cost_matrix()
+    C = c[:, :, None] + c[None, :, :]
     ref = (problem.m1[:, None, None] * problem.m2[None, :, None]
            * problem.m3[None, None, :])
 
@@ -73,8 +73,8 @@ def _constraints(problem):
 def oracle_ot0(problem):
     """Unregularized value by linear programming."""
     n = problem.n
-    c12, c23 = problem.cost_matrices()
-    C = (c12[:, :, None] + c23[None, :, :]).ravel()
+    c = problem.cost_matrix()
+    C = (c[:, :, None] + c[None, :, :]).ravel()
     A_eq, b_eq = _constraints(problem)
     res = linprog(C, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0
@@ -115,10 +115,10 @@ def test_zero_cost_kernel_all_ones_and_whitening():
     x = np.linspace(0, 1, 8)
     u = np.full(8, 1.0 / 8)
     zero = np.zeros((8, 8))
-    prob = TriMarginalProblem(x, u, u, u, cost=(zero, zero),
+    prob = TriMarginalProblem(x, u, u, u, cost=zero,
                               epsilon_schedule=(1.0,))
     kern = build_bridge(prob)
-    np.testing.assert_allclose(np.exp(kern.final.logK12), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.exp(kern.final.logK), 1.0, atol=1e-12)
     # the all-ones kernel has rank one: its whitened factor is the unit
     # constant vector, an identity Gram
     assert kern.phi2.shape == (8, 1)
@@ -157,19 +157,20 @@ def test_rank_exceeds_grid_raises():
 # solver
 # ---------------------------------------------------------------------------
 
-def test_single_atom_trivial():
-    prob = TriMarginalProblem(np.array([1.0]), np.array([1.0]), np.array([1.0]),
-                              np.array([1.0]), epsilon_schedule=(1.0,))
-    state, certs = tri_sinkhorn(prob)
-    assert certs.kkt == 0.0
-    assert certs.iterations == 1
+def test_fewer_than_two_atoms_rejected():
+    one = np.array([1.0])
+    with pytest.raises(ValueError, match="at least 2 atoms"):
+        TriMarginalProblem(one, one, one, one, epsilon_schedule=(1.0,))
+    empty = np.array([])
+    with pytest.raises(ValueError, match="at least 2 atoms"):
+        TriMarginalProblem(empty, empty, empty, empty)
 
 
 def test_n2_zero_cost_product_coupling():
     x = np.array([0.0, 1.0])
     u = np.array([0.5, 0.5])
     zero = np.zeros((2, 2))
-    prob = TriMarginalProblem(x, u, u, u, cost=(zero, zero),
+    prob = TriMarginalProblem(x, u, u, u, cost=zero,
                               epsilon_schedule=(1.0,))
     kern = build_bridge(prob)
     state, certs = tri_sinkhorn(prob, kern, tol=1e-12)
@@ -223,10 +224,10 @@ def test_kkt_zero_for_exact_product():
     x = np.array([-1.0, 0.0, 1.0])
     m = np.array([0.25, 0.5, 0.25])      # symmetric, mean 0
     zero = np.zeros((3, 3))
-    prob = TriMarginalProblem(x, m, m, m, cost=(zero, zero),
+    prob = TriMarginalProblem(x, m, m, m, cost=zero,
                               epsilon_schedule=(1.0,))
     kern = build_bridge(prob)
-    state = BridgeState(np.zeros(3), np.zeros(3), np.zeros(3), 0.0, 1.0)
+    state = BridgeState(np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
     kkt, comps = kkt_residual(state, prob, kern)
     assert kkt <= 1e-12
     assert abs(comps[3]) <= 1e-12
@@ -236,10 +237,10 @@ def test_kkt_detects_perturbation():
     x = np.array([-1.0, 0.0, 1.0])
     m = np.array([0.25, 0.5, 0.25])
     zero = np.zeros((3, 3))
-    prob = TriMarginalProblem(x, m, m, m, cost=(zero, zero),
+    prob = TriMarginalProblem(x, m, m, m, cost=zero,
                               epsilon_schedule=(1.0,))
     kern = build_bridge(prob)
-    state = BridgeState(np.zeros(3), np.zeros(3), np.zeros(3), 0.0, 1.0)
+    state = BridgeState(np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
     base_kkt, base_comps = kkt_residual(state, prob, kern)
     state.log_u[1] += 1.0
     kkt, comps = kkt_residual(state, prob, kern)
@@ -254,7 +255,7 @@ def test_kkt_detects_perturbation():
 def test_rgeo_from_exact_geometric_trace():
     prob = make_problem()
     kern = build_bridge(prob)
-    state = BridgeState(np.zeros(3), np.zeros(3), np.zeros(3), 0.0, 1.0)
+    state = BridgeState(np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
     res = [0.5**t for t in range(30)]
     state.stage_traces = [[(r, r, r, r, r) for r in res]]
     state.residual_trace = state.stage_traces[0]
@@ -269,7 +270,7 @@ def test_muhat_identity_features():
     prob = TriMarginalProblem(x, u, u, u, epsilon_schedule=(1.0,))
     kern = build_bridge(prob)
     kern.phi2 = np.eye(n)
-    state = BridgeState(np.zeros(n), np.zeros(n), np.zeros(n), 0.0, 1.0)
+    state = BridgeState(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
     state.stage_traces = [[(0.1,) * 5, (0.05,) * 5]]
     state.residual_trace = state.stage_traces[0]
     certs = certify(state, prob, kern)
@@ -279,7 +280,7 @@ def test_muhat_identity_features():
 def test_certify_trace_too_short():
     prob = make_problem()
     kern = build_bridge(prob)
-    state = BridgeState(np.zeros(3), np.zeros(3), np.zeros(3), 0.0, 1.0)
+    state = BridgeState(np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
     state.stage_traces = [[(0.1,) * 5]]
     with pytest.raises(ValueError):
         certify(state, prob, kern)
@@ -319,17 +320,17 @@ def test_dual_value_zero_potentials_closed_form():
     x = np.array([0.0, 1.0])
     u = np.array([0.5, 0.5])
     zero = np.zeros((2, 2))
-    prob = TriMarginalProblem(x, u, u, u, cost=(zero, zero),
+    prob = TriMarginalProblem(x, u, u, u, cost=zero,
                               epsilon_schedule=(1.0,))
     kern = build_bridge(prob)
-    state = BridgeState(np.zeros(2), np.zeros(2), np.zeros(2), 0.0, 1.0)
+    state = BridgeState(np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
     assert dual_value(state, prob, kern) == pytest.approx(0.0, abs=1e-12)
 
     prob2 = TriMarginalProblem(x, u, u, u, epsilon_schedule=(1.0,))
     kern2 = build_bridge(prob2)
-    state2 = BridgeState(np.zeros(2), np.zeros(2), np.zeros(2), 0.0, 1.0)
-    c12, c23 = prob2.cost_matrices()
-    C = c12[:, :, None] + c23[None, :, :]
+    state2 = BridgeState(np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
+    c = prob2.cost_matrix()
+    C = c[:, :, None] + c[None, :, :]
     ref = 0.125 * np.ones((2, 2, 2))
     mass = float(np.sum(ref * np.exp(-C / 1.0)))
     assert dual_value(state2, prob2, kern2) == pytest.approx(1.0 * (1 - mass),
@@ -412,6 +413,25 @@ def test_convergence_failure_reports_instead_of_raising():
     assert np.all(np.isfinite(state.log_u))
     assert np.all(np.isfinite(state.log_v))
     assert np.all(np.isfinite(state.log_w))
+
+
+def test_every_sweep_is_counted(monkeypatch):
+    # each sweep makes one Newton step on eta, the eps-backtrack's sweeps at
+    # the previous eps included; the final stage's trace, which r_geo reads,
+    # holds only sweeps at the final eps
+    import arbsurf.bridge as bridge
+    sweeps, newton = [0], bridge._eta_newton
+
+    def spy(*args):
+        sweeps[0] += 1
+        return newton(*args)
+
+    monkeypatch.setattr(bridge, "_eta_newton", spy)
+    prob = make_problem(eps=(0.5, 0.2), martingale_shift=0.2)
+    state, certs = tri_sinkhorn(prob, tol=1e-10, t_max=60)
+    assert "eps_backtrack" in certs.fallbacks_taken
+    assert sweeps[0] == len(state.residual_trace) == certs.iterations
+    assert len(state.residual_trace) > sum(map(len, state.stage_traces))
 
 
 def test_state_scalings_finite_after_normal_run():

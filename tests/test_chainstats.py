@@ -8,11 +8,11 @@ from arbsurf.chainstats import (SLOPE_PASS, ChainSeries, KernelMixture,
                                 chain_energy_counts, fir_smoother, gate_v2,
                                 median_bandwidth_counts,
                                 median_bandwidth_mixture, mmd2, mmd2_counts,
-                                n_eff, tail_diagnostics, tolerance_band)
+                                n_eff, pav_isotonic, tail_diagnostics,
+                                tolerance_band)
 from arbsurf.descent import path_laplacian
 from arbsurf.fd import FdConfig
 from arbsurf.pipeline import PipelineContext
-from arbsurf.projection import pav_isotonic
 from arbsurf.synth import extract_density, sample_clouds
 
 

@@ -61,6 +61,10 @@ BAD_CONFIGS = [
     {"bridge": {"triad_center": 10}},
     {"bridge": {"rank": 0}},
     {"bridge": {"rank": 40}},
+    # a null is no default: only a key left out takes one
+    {"seed": None},
+    {"grid": None},
+    {"chain": {"sizes": None}},
 ]
 
 

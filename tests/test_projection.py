@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
+from arbsurf.chainstats import pav_isotonic
 from arbsurf.fd import dkk_matrix, dtau_matrix
 from arbsurf.grid import (Grid2D, Surface, WeightField, quadrature_matrix,
                           uniform_weight, vega_bump_weight, weighted_inner,
                           weighted_norm)
 from arbsurf.projection import (ProjectionWarmStart, _second_difference_matrix,
-                                feasibility_violation, pav_isotonic,
-                                project_to_cone, projection_certificates)
+                                feasibility_violation, project_to_cone,
+                                projection_certificates)
 
 from conftest import bs_call, traced_peak
 
