@@ -206,7 +206,10 @@ class BridgeState:
 
     ``residual_trace`` holds every sweep's residuals; ``stage_traces`` one
     list per annealing stage, which omits the eps-backtrack's sweeps at the
-    previous eps."""
+    previous eps.  ``enforced`` names the residual components (r1, r2, r3,
+    martingale) the run drives to its tolerance, and so the ones its KKT
+    residual is the max of: all four, or all but r2 when the middle
+    marginal is left free."""
 
     log_u: np.ndarray
     log_v: np.ndarray
@@ -217,6 +220,7 @@ class BridgeState:
     damping: float = 1.0
     fallbacks_taken: list = field(default_factory=list)
     converged: bool = True
+    enforced: tuple = (0, 1, 2, 3)
 
 
 @dataclass
@@ -276,7 +280,7 @@ class _LogMarginals:
                                    axis=0)
 
 
-def _residual_tuple(problem, st, state, conv_components=(0, 1, 2, 3)):
+def _residual_tuple(problem, st, state):
     lm = _LogMarginals(problem, st, state)
     p1 = np.exp(lm.log_P1())
     p2 = np.exp(lm.log_P2())
@@ -286,7 +290,7 @@ def _residual_tuple(problem, st, state, conv_components=(0, 1, 2, 3)):
     r2 = float(np.max(np.abs(p2 - problem.m2)))
     r3 = float(np.max(np.abs(p3 - problem.m3)))
     comps = (r1, r2, r3, abs(mart))
-    conv = max(comps[i] for i in conv_components)
+    conv = max(comps[i] for i in state.enforced)
     return comps + (conv,)
 
 
@@ -346,21 +350,23 @@ def tri_sinkhorn(problem: TriMarginalProblem,
     marginal is carried only by the entropic reference.  That is the
     well-posed setting for martingale rhs sensitivities: with all three
     marginals hard, the rhs is pinned by m2 and a perturbed problem has no
-    feasible point, so shadow prices are read off in this mode.
+    feasible point, so shadow prices are read off in this mode.  The run
+    then neither enforces nor certifies r2: ``certs.kkt`` is the largest of
+    the other three components, ``certs.kkt_components`` keeps all four,
+    and ``converged`` is ``kkt <= tol`` in both modes.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if kernels is None:
         kernels = build_bridge(problem)
     n = problem.n
-    state = BridgeState(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
+    state = BridgeState(np.zeros(n), np.zeros(n), np.zeros(n), 0.0,
+                        enforced=(0, 1, 2, 3) if update_middle else (0, 2, 3))
     state.damping = DAMPING_MAX
     active1 = problem.m1 > 0
     active2 = (problem.m2 > 0) if update_middle else np.zeros(n, dtype=bool)
     active3 = problem.m3 > 0
     lm1, lm2, lm3 = problem.log_m
-
-    conv_components = (0, 1, 2, 3) if update_middle else (0, 2, 3)
 
     def rescale(factor):
         # the log-scalings are potentials over eps: a move from eps to eps'
@@ -384,7 +390,7 @@ def tri_sinkhorn(problem: TriMarginalProblem,
             lm = _LogMarginals(problem, st, state)
             state.log_w[active3] += gamma * (lm3[active3] - lm.log_P3()[active3])
             state.eta += _eta_newton(problem, st, state)
-            comps = _residual_tuple(problem, st, state, conv_components)
+            comps = _residual_tuple(problem, st, state)
             trace.append(comps)
             res = comps[4]
             if len(trace) >= 2:
@@ -421,7 +427,7 @@ def tri_sinkhorn(problem: TriMarginalProblem,
 
     # fallback ladder if the final KKT misses the tolerance
     def final_kkt():
-        return _residual_tuple(problem, kernels.final, state, conv_components)[4]
+        return _residual_tuple(problem, kernels.final, state)[4]
 
     if final_kkt() > tol:
         state.fallbacks_taken.append("marginal_rebalance")
@@ -449,7 +455,9 @@ def tri_sinkhorn(problem: TriMarginalProblem,
 
 def kkt_residual(state: BridgeState, problem: TriMarginalProblem,
                  kernels: BridgeKernels):
-    """(kkt, components): three sup-norm marginal errors + |martingale violation|."""
+    """(kkt, components): the components are the three sup-norm marginal
+    errors and |martingale violation|; kkt is the largest of those the run
+    enforced (``state.enforced``)."""
     comps = _residual_tuple(problem, kernels.final, state)
     return comps[4], comps[:4]
 

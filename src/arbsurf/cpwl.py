@@ -180,11 +180,16 @@ def triangulate_tensor_grid(xs: np.ndarray, ys: np.ndarray,
 # ---------------------------------------------------------------------------
 
 # Points per block in ReluNet.evaluate.  A block's activations are
-# width × 64 × 8 B (0.8 MB for a 1536-unit layer).  With 256-point blocks
-# glibc gave each block's 3 MB arrays back to the kernel and faulted them in
-# again: 21k minor page faults and 63 ms for the 2000-point audit, against
-# 2.3k faults and 28 ms with 64 (2-core Xeon, glibc malloc defaults).
-EVAL_BLOCK_ROWS = 64
+# width × block × 8 B, 0.6 MB over the layers of the default run's net
+# (widths 1536, 1536, 799, 514, 289, 1) at 16 points and 2.4 MB at 64.
+# Whether glibc reuses freed blocks or trims them and faults them in again
+# depends on what the rest of the run left on the heap.  Per call on the
+# 2000-point audit (2-core Xeon, glibc malloc defaults, then trimming off):
+# 64 points 51-54 ms and 21k minor faults, 23 ms; 32 points 27-54 ms and up
+# to 18k faults, 27 ms; 16 points 30 ms and no faults in both layouts
+# measured, 30 ms; 8 points 46-50 ms, 46-49 ms.  In the layout that faults
+# at 32, 24 and 28 points do not; 16 keeps a wide margin below that onset.
+EVAL_BLOCK_ROWS = 16
 
 @dataclass
 class _Layer:
@@ -207,7 +212,7 @@ class ReluNet:
 
         The layers run over blocks of at most ``EVAL_BLOCK_ROWS`` points, so
         the dense hidden activations are width × block rather than width × N
-        (for the pipeline's 2000-point audit of a 1536-unit layer, 0.8 MB
+        (for the pipeline's 2000-point audit of a 1536-unit layer, 0.2 MB
         instead of 25 MB).  A sparse-times-dense product computes each
         point's column on its own, so the result equals a one-shot pass bit
         for bit.

@@ -32,6 +32,10 @@ degenerate duals, a descent step takes over: Newton on rows freed by
 Lawson and Hanson's rule, searched along the projection arc's breakpoints
 (More and Toraldo 1991).  Both solve with banded Cholesky factors, and a
 factor made for one working set serves a later trial on the same set.
+The constraint matrix S is held once, as CSR matrices of S, its transpose
+and their absolute values; every product the loop and its certificate
+take (values, their rounding terms, ``S^T lam``) is a sparse product on
+them, in coordinates of the grid's nodes alone.
 """
 
 from __future__ import annotations
@@ -79,8 +83,10 @@ _BREAKPOINTS = 32
 # "Accuracy and Stability of Numerical Algorithms", ch. 3): a constraint's
 # value sums 3 products whose coefficients are rounded 3 times (6 unit
 # roundoffs), a point sums its input and at most 6 rows per node (7), and
-# x = u / sqrt(omega) and v = sqrt(omega) x round once each.  16 unit
-# roundoffs cover the largest with room for the second-order terms
+# x = u / sqrt(omega) and v = sqrt(omega) x round once each.  These count
+# the terms of each sum, so they hold in whatever order a sparse product
+# sums them.  16 unit roundoffs cover the largest with room for the
+# second-order terms
 _ROUND = 16 * 2.0**-53
 # C3 gate: the certified Lipschitz ratio of the computed projection over the
 # audited pairs, 1 + 2 max(e) / (smallest pair distance), may exceed 1 by no
@@ -176,62 +182,42 @@ class _Cone:
 
     With ``u = sqrt(omega) * x`` the weighted projection is Euclidean.  Row i
     of ``S`` is ``a_i / sqrt(omega) / nu_i``, a unit vector, so that
-    ``a_i . x = nu_i * (S u)_i``.  Each row touches at most three nodes and
-    is stored as three node indices and coefficients, and each node as the
-    rows that touch it; node ``n`` is a dummy with coefficient 0, and
-    vectors in scaled coordinates carry it as a last entry that stays 0.
-    Rows are ordered by their first node in strike-major order, which makes
-    the Gram matrix ``S S^T`` banded.
+    ``a_i . x = nu_i * (S u)_i``.  Each row touches at most three nodes.
+    ``S``, ``|S|``, ``S^T`` and ``|S^T|`` are held as CSR matrices, the one
+    storage every product below reads.  Rows are ordered by their first
+    node in strike-major order, which makes the Gram matrix ``S S^T``
+    banded.
     """
 
     def __init__(self, grid: Grid2D, omega: np.ndarray):
         nt, nk = grid.shape
         n = nt * nk
-        node = np.arange(n).reshape(nt, nk)
-        A2 = _second_difference_matrix(grid.strikes)
-        q = np.arange(nk - 2)
-        cols = [np.stack([node[:-1], node[1:], np.full((nt - 1, nk), n)], -1),
-                np.stack([node[:, q], node[:, q + 1], node[:, q + 2]], -1)]
-        coef = [np.broadcast_to([-1.0, 1.0, 0.0], (nt - 1, nk, 3)),
-                np.broadcast_to(np.stack([A2[q, q], A2[q, q + 1], A2[q, q + 2]], -1),
-                                (nt, nk - 2, 3))]
-        # with the calendar rows, x >= 0 holds everywhere iff it holds on the
-        # first maturity; the smaller set is less degenerate
-        cols.append(np.stack([node[0], np.full(nk, n), np.full(nk, n)], -1))
-        coef.append(np.broadcast_to([1.0, 0.0, 0.0], (nk, 3)))
-        cols = np.concatenate([c.reshape(-1, 3) for c in cols])
-        coef = np.concatenate([c.reshape(-1, 3) for c in coef])
-        position = np.append(node.T.ravel().argsort(), n * nk + 1)
-        order = np.argsort(position[cols].min(axis=1), kind="stable")
-        cols, coef = cols[order], coef[order]
+        calendar = sp.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(nt - 1, nt))
+        A2 = sp.csr_array(_second_difference_matrix(grid.strikes))
+        # calendar rows (t, k) -> (t + 1, k), convexity rows across
+        # (t, q..q+2) and, since with the calendar rows x >= 0 holds
+        # everywhere iff it holds on the first maturity (the smaller set is
+        # less degenerate), nonnegativity there; ordered by the strike-major
+        # position k * nt + t of each row's first node (t, k)
+        A = sp.vstack([sp.kron(calendar, sp.eye_array(nk)), sp.kron(sp.eye_array(nt), A2),
+                       sp.eye_array(nk, n)], format="csr")
+        t, k = np.arange(nt)[:, None], np.arange(nk)
+        first = np.concatenate([(k * nt + t[:-1]).ravel(), (k[:-2] * nt + t).ravel(),
+                                k * nt])
+        A = A[np.argsort(first, kind="stable")]
 
-        self.n, self.m = n, cols.shape[0]
+        self.m = A.shape[0]
         self.sqrt_omega = np.sqrt(omega.ravel())
-        coef = coef * np.append(1.0 / self.sqrt_omega, 0.0)[cols]
-        self.nu = np.sqrt(np.sum(coef**2, axis=1))
+        A.data *= (1.0 / self.sqrt_omega)[A.indices]
+        self.nu = np.sqrt(np.add.reduceat(A.data**2, A.indptr[:-1]))
         self._floors = {tol: tol / self.nu for tol in (_FEAS_TOL, _ADD_TOL)}
-        self.cols, self.coef = cols, coef / self.nu[:, None]
-        self.abs_coef = np.abs(self.coef)
-
-        S = sp.csr_array((self.coef.ravel(), cols.ravel(),
-                          np.arange(0, 3 * self.m + 1, 3)), shape=(self.m, n + 1))
-        # S^T node by node: node j meets rows rows_t[j] with coefficients
-        # coef_t[j], in increasing row order; padding has coefficient 0, and
-        # so has the dummy node
-        ST = S.T.tocsr()[:n]
-        ST.sort_indices()
-        counts = np.append(np.diff(ST.indptr), 0)
-        node_of = np.repeat(np.arange(n + 1), counts)
-        slot = np.arange(ST.nnz) - np.repeat(ST.indptr, counts)
-        self.rows_t = np.zeros((n + 1, counts.max()), dtype=np.intp)
-        self.coef_t = np.zeros(self.rows_t.shape)
-        self.rows_t[node_of, slot] = ST.indices
-        self.coef_t[node_of, slot] = ST.data
-        self.abs_coef_t = np.abs(self.coef_t)
+        A.data /= np.repeat(self.nu, np.diff(A.indptr))
+        self.S, self.ST = A, A.T.tocsr()
+        self.abs_S, self.abs_ST = abs(self.S), abs(self.ST)
         # the lower band of the Gram matrix S S^T row by row: row r meets
         # rows nbr_lower[r] (at or after r) with inner products
         # gval_lower[r]; padding points at the sentinel row m
-        G = (S @ S.T).tocsr()
+        G = (self.S @ self.ST).tocsr()
         G.sort_indices()
         row = np.repeat(np.arange(self.m), np.diff(G.indptr))
         keep = G.indices >= row
@@ -262,30 +248,20 @@ class _Cone:
         # |S_ij| for every row i that touches it, so the norm of that
         # vector, which bounds ||v|| and ||u||, is at most this factor times
         # the largest rounding term
-        self.spread_per_term = float(np.sqrt(n) / self.abs_coef_t[:n].max(axis=1).min())
+        self.spread_per_term = float(np.sqrt(n) / self.abs_ST.max(axis=1).toarray().min())
 
     def scale(self, x: np.ndarray) -> np.ndarray:
-        """Scaled coordinates ``sqrt(omega) * x``, with the dummy node
-        (always 0) appended."""
-        v = np.empty(self.n + 1)
-        v[-1] = 0.0
-        np.multiply(self.sqrt_omega, x, out=v[:-1])
-        return v
-
-    @staticmethod
-    def _sums(coef: np.ndarray, index: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Each row of ``coef`` dotted with the entries ``index`` picks from
-        x."""
-        return np.einsum("ij,ij->i", coef, x.take(index))
+        """Scaled coordinates ``sqrt(omega) * x``."""
+        return self.sqrt_omega * x
 
     def values(self, u: np.ndarray) -> np.ndarray:
         """S u: every constraint's value, scaled to a unit normal."""
-        return self._sums(self.coef, self.cols, u)
+        return self.S @ u
 
     def rounding(self, v: np.ndarray) -> np.ndarray:
         """Magnitude of the terms summed into each scaled value of S v, the
         scale of its rounding."""
-        return self._sums(self.abs_coef, self.cols, np.abs(v))
+        return self.abs_S @ np.abs(v)
 
     def threshold(self, absolute: float, relative: float,
                   terms: np.ndarray) -> np.ndarray:
@@ -296,16 +272,16 @@ class _Cone:
         return np.maximum(self._floors[absolute], relative * terms)
 
     def combine(self, lam: np.ndarray) -> np.ndarray:
-        """``S^T lam``, with the dummy node."""
-        return self._sums(self.coef_t, self.rows_t, lam)
+        """``S^T lam``."""
+        return self.ST @ lam
 
     def check(self, v: np.ndarray, lam: np.ndarray):
         """``u = v + S^T lam``, its values ``S u`` and their rounding terms,
         the magnitude of the terms summed into each value.  Rows with
         ``lam = 0`` add exact zeros to all three."""
         u = v + self.combine(lam)
-        spread = np.abs(v) + self._sums(self.abs_coef_t, self.rows_t, np.abs(lam))
-        return u, self.values(u), self._sums(self.abs_coef, self.cols, spread)
+        spread = np.abs(v) + self.abs_ST @ np.abs(lam)
+        return u, self.values(u), self.abs_S @ spread
 
     def gram_band(self, W: np.ndarray) -> np.ndarray:
         """Lower band storage of S[W] S[W]^T for increasing row indices W.
@@ -447,9 +423,9 @@ def _safeguard(cone: _Cone, v: np.ndarray, lam: np.ndarray,
     alphas = np.unique(np.append(alphas, [min(line, 1.0), 1.0]))
     points = np.maximum(lam + alphas[:, None] * D, 0.0)
     points[ratio <= alphas[:, None]] = 0.0
-    # S^T of every candidate's step at once
-    SP = np.einsum("ij,kij->ki", cone.coef_t, (points - lam)[:, cone.rows_t])
-    dq = np.einsum("ij,ij->i", SP, u + 0.5 * SP)
+    # S^T of every candidate's step at once, one column each
+    SP = cone.ST @ (points - lam).T
+    dq = np.einsum("ik,ik->k", SP, u[:, None] + 0.5 * SP)
     new = points[dq.argmin()] if dq.min() < 0 else lam
     u, s, terms = cone.check(v, new)
     return new, (u, s, terms), (new > 0) | _breached(cone, s, terms)
@@ -629,7 +605,7 @@ def project_to_cone(C, w: WeightField, grid: Grid2D | None = None,
     else:
         lam, check = _solve_dual(cone, v, b, warm)
         u, warm.active, e = _certify(cone, lam, check)
-        x = u[:-1] / cone.sqrt_omega
+        x = u / cone.sqrt_omega
     warm.error_max = max(warm.error_max, e)
     # x is the checked input or passed its certificate, which no non-finite
     # point passes

@@ -385,14 +385,19 @@ def test_shadow_price_sensitivity():
     delta = 1e-3
     prob = make_problem(eps=(0.5,), martingale_shift=base_shift)
     kern = build_bridge(prob)
-    state0, _ = tri_sinkhorn(prob, kern, tol=1e-11, t_max=5000,
-                             update_middle=False)
+    state0, certs0 = tri_sinkhorn(prob, kern, tol=1e-11, t_max=5000,
+                                  update_middle=False)
+    # the free middle marginal is left out of kkt, not of its components:
+    # its residual is far above tol while the run converges
+    assert certs0.converged and certs0.kkt <= 1e-11 < certs0.kkt_components[1]
+    assert certs0.kkt == max(certs0.kkt_components[i] for i in (0, 2, 3))
     V0 = dual_value(state0, prob, kern)
     eta0 = state0.eta
     for sgn in (1.0, -1.0):
         p = make_problem(eps=(0.5,), martingale_shift=base_shift + sgn * delta)
         k = build_bridge(p)
-        s, _ = tri_sinkhorn(p, k, tol=1e-11, t_max=5000, update_middle=False)
+        s, certs = tri_sinkhorn(p, k, tol=1e-11, t_max=5000, update_middle=False)
+        assert certs.converged == (certs.kkt <= 1e-11)
         dV = dual_value(s, p, k) - V0
         assert abs(dV - eta0 * sgn * delta) <= 0.1 * abs(eta0 * delta) + 1e-8
 

@@ -9,7 +9,10 @@ checkout's ``src``.  Each tree's ``run_pipeline`` runs in its own subprocess
 workloads at seed 7, with the configs and market seeds that
 ``perfbench/run.py`` declares, artifacts included where the workload writes
 them.  The script prints, for each market, both exit statuses and whether
-the SHA-256 digests of ``strip_meta(summary)`` are equal; then, for each leaf
+the SHA-256 digests of ``strip_meta(summary)`` are equal, beside each
+tree's minor page faults over its ``run_pipeline`` call
+(``getrusage(RUSAGE_SELF).ru_minflt``), which no summary records and which
+move with heap layout; then, for each leaf
 that moved, the number of markets where it moved and its largest relative
 change, first the summary's leaves and then the ``meta`` counters (the
 ``wall_*`` times and the timestamp are left out).  List elements are grouped
@@ -24,6 +27,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -43,11 +47,14 @@ def run_markets(src: str) -> None:
     for workload in WORKLOADS:
         writes = bench.WORKLOADS[workload][1]
         for market in bench.market_seeds(workload, SEED):
-            record = {"workload": workload, "market": market}
+            record = {"workload": workload, "market": market, "minflt": None}
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             try:
                 with tempfile.TemporaryDirectory() as out:
                     summary, status = run_pipeline(bench.build_config(workload, market),
                                                    out_dir=Path(out) if writes else None)
+                    record["minflt"] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                                        - faults)
             except Exception as exc:  # reported per market, as the benchmark does
                 record.update(status=f"raised {type(exc).__name__}: {exc}",
                               digest=None, summary=None)
@@ -126,12 +133,14 @@ def main(argv=None) -> int:
             return 2
         runs.append([json.loads(line) for line in out.splitlines()])
     differs = False
-    print(f"{'workload':10} {'market':>8}  parent  change  digest")
+    print(f"{'workload':10} {'market':>8}  parent  change  digest   "
+          "minor faults: parent  change")
     for old, new in zip(*runs):
         same = old["digest"] is not None and old["digest"] == new["digest"]
         differs |= not same or old["status"] != new["status"]
         print(f"{old['workload']:10} {old['market']:>8}  {old['status']!s:>6}  "
-              f"{new['status']!s:>6}  {'equal' if same else 'differs'}")
+              f"{new['status']!s:>6}  {'equal' if same else 'differs':7}  "
+              f"{old['minflt']!s:>13}  {new['minflt']!s:>6}")
     solved = [(o["summary"], n["summary"]) for o, n in zip(*runs)
               if o["summary"] is not None and n["summary"] is not None]
     timing = re.compile(r"^(wall_|timestamp$)")
