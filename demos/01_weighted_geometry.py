@@ -24,7 +24,7 @@ print("norm equivalence band: "
       f"[{unweighted_norm(resid, grid) / weight.kappa_W:.4f}, "
       f"{unweighted_norm(resid, grid) * weight.kappa_W:.4f}]")
 
-report = check_mesh_admissibility(clean, grid, c1=2000.0, c2=50.0)
+report = check_mesh_admissibility(clean, grid)
 print(f"\nmesh admissibility: {'PASS' if report.passed else 'FAIL'}")
 print(f"  curvature envelope (K):   {report.envelope_K:.5f}  "
       f"(h_K={report.h_K:.3f} vs bound {report.bound_K:.3f})")

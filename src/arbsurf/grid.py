@@ -36,6 +36,10 @@ VEGA_BUMP_FLOOR = 0.05
 # on windows of this many nodes
 MESH_WINDOW = 5
 MESH_QUANTILE = 0.10
+# mesh gate: h_K may be at most MESH_C1 times the strike envelope, h_tau at
+# most MESH_C2 times the maturity envelope
+MESH_C1 = 2000.0
+MESH_C2 = 50.0
 
 
 @dataclass(frozen=True)
@@ -249,13 +253,13 @@ def _curvature_stencil(grid: Grid2D, axis: str, window: int) -> np.ndarray:
     return S
 
 
-def check_mesh_admissibility(C: Surface, grid: Grid2D, c1: float = 1.0,
-                             c2: float = 1.0) -> AdmissibilityReport:
+def check_mesh_admissibility(C: Surface, grid: Grid2D) -> AdmissibilityReport:
     """Check h_K and h_tau against robust lower envelopes of local curvature.
 
     The strike envelope is the ``MESH_QUANTILE`` of per-node local quadratic
     curvature estimates in K on ``MESH_WINDOW`` nodes; the maturity envelope
-    likewise for the term-structure second differences in tau.  A FAIL is
+    likewise for the term-structure second differences in tau.  The bounds
+    are ``MESH_C1`` and ``MESH_C2`` times the envelopes.  A FAIL is
     reported, never raised.
     """
     values = _as_values(C)
@@ -272,8 +276,8 @@ def check_mesh_admissibility(C: Surface, grid: Grid2D, c1: float = 1.0,
 
     env_K = float(np.quantile(np.abs(curv_K), MESH_QUANTILE))
     env_tau = float(np.quantile(np.abs(curv_tau), MESH_QUANTILE))
-    bound_K = c1 * env_K
-    bound_tau = c2 * env_tau
+    bound_K = MESH_C1 * env_K
+    bound_tau = MESH_C2 * env_tau
 
     reason = ""
     tiny = 1e-12 * (1.0 + float(np.max(np.abs(values))))

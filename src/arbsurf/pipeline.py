@@ -46,6 +46,17 @@ STAGE_DEPS = {
 }
 STAGES = tuple(STAGE_DEPS)
 
+# the bridge: a Nystrom kernel of this rank, solved to this KKT tolerance
+BRIDGE_FEATURES = "nystrom"
+BRIDGE_RANK = 8
+BRIDGE_TOL = 5e-3
+# the descent's step-size scale, noise level and chain-energy weight
+DESCENT_ETA0 = 0.1
+DESCENT_NOISE_SIGMA = 0.005
+DESCENT_LAMBDA_CHAIN = 0.5
+
+# what a run varies: its input data (seed, grid, market) and the sizes of
+# its fit, audit, chain and descent
 DEFAULT_CONFIG = {
     "seed": 7,
     "grid": {
@@ -57,18 +68,13 @@ DEFAULT_CONFIG = {
         "vol_kind": "constant", "vol_level": 0.2, "smile_curvature": 0.0,
         "noise_sigma": 0.25,
     },
-    "mesh": {"c1": 2000.0, "c2": 50.0},
     "smolyak": {"level": 4, "frontier_levels": [2, 3, 4, 5]},
-    "bridge": {"feature_kind": "nystrom", "rank": 8, "tol": 0.005,
-               "triad_center": 5},
-    "projection": {"path_steps": 8, "lip_trials": 10},
+    "projection": {"lip_trials": 10},
     "chain": {
         "sizes": [60, 90, 130, 190, 280, 410, 600, 880, 1290, 1900],
         "n_maturities_used": 6,
     },
-    "descent": {
-        "eta0": 0.1, "noise_sigma": 0.005, "lambda_chain": 0.5, "steps": 200,
-    },
+    "descent": {"steps": 200},
 }
 
 
@@ -141,13 +147,10 @@ class RunConfig(dict):
                              "strictly increasing sizes, each at least 2: the "
                              "gate reads a tail of the series, and each MMD^2 "
                              "needs 2 samples per cloud")
-        if not 1 <= self["bridge"]["triad_center"] <= n_mat - 2:
-            raise ValueError(f"config key '/bridge/triad_center' must lie in "
-                             f"[1, {n_mat - 2}]: the bridge's triad is the "
-                             "maturities on either side of it")
-        if not 1 <= self["bridge"]["rank"] <= n_k:
-            raise ValueError(f"config key '/bridge/rank' must lie in [1, {n_k}], "
-                             "the number of strikes")
+        if n_k < BRIDGE_RANK:
+            raise ValueError(f"config key '/grid/n_strikes' must be at least "
+                             f"{BRIDGE_RANK}, the rank of the bridge's "
+                             "Nystrom kernel")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -228,8 +231,7 @@ class PipelineContext:
                               seed=self._seed("market-noise"))
         clean, noisy = generate_surface(params, grid)
         w = vega_bump_weight(grid, mc["spot"])
-        report = check_mesh_admissibility(clean, grid, cfg["mesh"]["c1"],
-                                          cfg["mesh"]["c2"])
+        report = check_mesh_admissibility(clean, grid)
         self.art.update(grid=grid, weight=w, clean=clean, noisy=noisy)
         self.summary["mesh"] = {
             "h_K": grid.h_K, "h_tau": grid.h_tau,
@@ -319,18 +321,16 @@ class PipelineContext:
                         for r in frontier])
 
     def stage_bridge(self):
-        cfg = self.config
-        bc = cfg["bridge"]
         grid: Grid2D = self.art["grid"]
-        spot = cfg["market"]["spot"]
-        center = int(bc["triad_center"])
+        # the triad: the middle maturity and one on either side of it
+        center = grid.maturities.size // 2
         marginals = [extract_density(self.art["G_hat"], grid, center + k)[0]
                      for k in (-1, 0, 1)]
-        x = grid.strikes / spot
+        x = grid.strikes / self.config["market"]["spot"]
         problem = bridge_mod.TriMarginalProblem(
-            x, *marginals, feature_kind=bc["feature_kind"], rank=bc["rank"])
+            x, *marginals, feature_kind=BRIDGE_FEATURES, rank=BRIDGE_RANK)
         kernels = bridge_mod.build_bridge(problem)
-        state, certs = bridge_mod.tri_sinkhorn(problem, kernels, tol=bc["tol"])
+        state, certs = bridge_mod.tri_sinkhorn(problem, kernels, tol=BRIDGE_TOL)
         self.art["bridge_certs"] = certs
         self.summary["C2"] = {
             "KKT": certs.kkt,
@@ -358,13 +358,11 @@ class PipelineContext:
                         enumerate(state.residual_trace)])
 
     def stage_project(self):
-        pc = self.config["projection"]
         grid: Grid2D = self.art["grid"]
         w: WeightField = self.art["weight"]
-        certs = projection_certificates(self.art["noisy"], w,
-                                        trials=pc["lip_trials"],
-                                        path_steps=pc["path_steps"],
-                                        rng_seed=self._seed("lip-pairs"))
+        certs = projection_certificates(
+            self.art["noisy"], w, trials=self.config["projection"]["lip_trials"],
+            rng_seed=self._seed("lip-pairs"))
         warm = ProjectionWarmStart()
         proj = project_to_cone(self.art["G_hat"], w, warm=warm)
         self.art["C_proj"] = proj
@@ -395,7 +393,6 @@ class PipelineContext:
         edge_w = np.full(n_mat - 1, 1.0 / (n_mat - 1))
         atoms = grid.strikes / cfg["market"]["spot"]
         values = []
-        kernel_scales = []
         for s_i, n_s in enumerate(sizes):
             counts = [cs.atom_counts(
                 sample_clouds(d, atoms, [n_s],
@@ -403,7 +400,8 @@ class PipelineContext:
                       for m, d in enumerate(densities)]
             total, _, kernels = cs.chain_energy_counts(counts, atoms, edge_w)
             values.append(total)
-            kernel_scales = [k.components[-1][1] for k in kernels]
+        # the largest size's kernels, one per edge
+        kernel_scales = [k.components[-1][1] for k in kernels]
         values = np.asarray(values)
         alphas = cs.bartlett_alphas(values - np.minimum.accumulate(values))
         neff = np.asarray([cs.n_eff(n, alphas) for n in sizes])
@@ -435,7 +433,10 @@ class PipelineContext:
         w: WeightField = self.art["weight"]
         T = grid.maturities.size
         graph = descent_mod.path_laplacian(T, np.ones(T - 1))
-        dcfg = descent_mod.DescentConfig(**self.config["descent"])
+        dcfg = descent_mod.DescentConfig(
+            eta0=DESCENT_ETA0, noise_sigma=DESCENT_NOISE_SIGMA,
+            lambda_chain=DESCENT_LAMBDA_CHAIN,
+            steps=self.config["descent"]["steps"])
         warm = ProjectionWarmStart()
 
         def projector(states):

@@ -88,6 +88,9 @@ _BREAKPOINTS = 32
 # sums them.  16 unit roundoffs cover the largest with room for the
 # second-order terms
 _ROUND = 16 * 2.0**-53
+# the Dupire certificate reads the total variation at this many equal steps
+# along the path from the raw surface to its projection, and at its start
+DUP_PATH_STEPS = 8
 # C3 gate: the certified Lipschitz ratio of the computed projection over the
 # audited pairs, 1 + 2 max(e) / (smallest pair distance), may exceed 1 by no
 # more than 1%
@@ -614,7 +617,6 @@ def project_to_cone(C, w: WeightField, grid: Grid2D | None = None,
 
 def projection_certificates(C_raw, w: WeightField,
                             trials: int = 10,
-                            path_steps: int = 8,
                             rng_seed: int = 0,
                             grid: Grid2D | None = None) -> ProjectionCertificates:
     """Certified Lipschitz ratio, its audit, and the Dupire-TV-nonincrease
@@ -628,7 +630,7 @@ def projection_certificates(C_raw, w: WeightField,
     gate reads it.  ``lip_emp`` is that ratio as measured over ``trials``
     seeded Gaussian perturbation pairs at 1% of the surface norm, an audit.
     dup_tv_path tracks the Dupire total variation along the proximal
-    homotopy from C_raw to its projection, at ``path_steps + 1`` equally
+    homotopy from C_raw to its projection, at ``DUP_PATH_STEPS + 1`` equally
     spaced points.
 
     C_raw is projected first; that projection is the end of the Dupire path.
@@ -639,8 +641,6 @@ def projection_certificates(C_raw, w: WeightField,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if path_steps < 1:
-        raise ValueError("path_steps must be >= 1")
     if isinstance(C_raw, Surface):
         grid = C_raw.grid
         base = C_raw.values
@@ -668,8 +668,8 @@ def projection_certificates(C_raw, w: WeightField,
             delta = min(delta, denom)
 
     tvs = []
-    for t in range(path_steps + 1):
-        lam = t / path_steps
+    for t in range(DUP_PATH_STEPS + 1):
+        lam = t / DUP_PATH_STEPS
         blend = (1 - lam) * base + lam * proj
         fld = dupire_field(blend, grid)
         tvs.append(dupire_total_variation(fld, w))

@@ -88,25 +88,16 @@ def _axis_points(level: int, lo: float, hi: float) -> np.ndarray:
 
 
 def _bilinear_eval(xs, ys, vals, px, py):
-    """Bilinear tensor interpolation; exact at the grid nodes."""
-    if xs.size == 1:
-        fx = np.zeros_like(px)
-        ix = np.zeros(px.shape, dtype=int)
-    else:
-        ix = np.clip(np.searchsorted(xs, px, side="right") - 1, 0, xs.size - 2)
-        fx = (px - xs[ix]) / (xs[ix + 1] - xs[ix])
-    if ys.size == 1:
-        fy = np.zeros_like(py)
-        iy = np.zeros(py.shape, dtype=int)
-    else:
-        iy = np.clip(np.searchsorted(ys, py, side="right") - 1, 0, ys.size - 2)
-        fy = (py - ys[iy]) / (ys[iy + 1] - ys[iy])
-    ix1 = np.minimum(ix + 1, xs.size - 1)
-    iy1 = np.minimum(iy + 1, ys.size - 1)
+    """Bilinear tensor interpolation on axes of at least 2 points; exact at
+    the grid nodes."""
+    ix = np.clip(np.searchsorted(xs, px, side="right") - 1, 0, xs.size - 2)
+    fx = (px - xs[ix]) / (xs[ix + 1] - xs[ix])
+    iy = np.clip(np.searchsorted(ys, py, side="right") - 1, 0, ys.size - 2)
+    fy = (py - ys[iy]) / (ys[iy + 1] - ys[iy])
     v00 = vals[iy, ix]
-    v10 = vals[iy, ix1]
-    v01 = vals[iy1, ix]
-    v11 = vals[iy1, ix1]
+    v10 = vals[iy, ix + 1]
+    v01 = vals[iy + 1, ix]
+    v11 = vals[iy + 1, ix + 1]
     return ((1 - fx) * (1 - fy) * v00 + fx * (1 - fy) * v10
             + (1 - fx) * fy * v01 + fx * fy * v11)
 

@@ -129,11 +129,18 @@ def test_shape_mismatch_raises(grid21x11, weight21x11):
         weighted_norm(np.zeros((3, 3)), weight21x11, grid21x11)
 
 
-def test_admissibility_quadratic_pass():
+def _unit_slack(monkeypatch):
+    # the bounds are the envelopes themselves
+    monkeypatch.setattr("arbsurf.grid.MESH_C1", 1.0)
+    monkeypatch.setattr("arbsurf.grid.MESH_C2", 1.0)
+
+
+def test_admissibility_quadratic_pass(monkeypatch):
+    _unit_slack(monkeypatch)
     g = Grid2D(np.linspace(0.0, 1.0, 41), np.linspace(0.1, 1.1, 41))
     K, T = np.meshgrid(g.strikes, g.maturities)
     C = Surface(10.0 * K**2 + 10.0 * T**2, g, is_price=False)
-    report = check_mesh_admissibility(C, g, c1=1.0, c2=1.0)
+    report = check_mesh_admissibility(C, g)
     assert report.passed
     assert report.envelope_K == pytest.approx(20.0, rel=1e-6)
 
@@ -191,11 +198,13 @@ def test_admissibility_degenerate_surface_fails_gracefully(grid21x11):
     assert "degenerate" in report.reason
 
 
-def test_admissibility_bs_matches_analytic_oracle(grid21x11, bs_surface_21x11):
+def test_admissibility_bs_matches_analytic_oracle(grid21x11, bs_surface_21x11,
+                                                 monkeypatch):
     # the report's decision must agree with an oracle that evaluates analytic
     # second derivatives at the nodes and applies the same envelope rule
+    _unit_slack(monkeypatch)
     report = check_mesh_admissibility(Surface(bs_surface_21x11, grid21x11),
-                                      grid21x11, c1=1.0, c2=1.0)
+                                      grid21x11)
     K, T = np.meshgrid(grid21x11.strikes, grid21x11.maturities)
     gamma = bs_gamma_K(100.0, K, T, 0.2)
     dtau = 1e-4
@@ -214,7 +223,7 @@ def test_admissibility_monotone_under_refinement():
         g = Grid2D(np.linspace(80, 120, n_K), np.linspace(0.1, 1.1, n_tau))
         K, T = np.meshgrid(g.strikes, g.maturities)
         C = Surface(bs_call(100.0, K, T, sigma), g)
-        report = check_mesh_admissibility(C, g, c1=2000.0, c2=60.0)
+        report = check_mesh_admissibility(C, g)
         assert report.passed, f"refinement flipped PASS at {n_K}x{n_tau}"
 
 

@@ -19,8 +19,30 @@ def _leaves(tree):
 
 def test_default_config_holds_only_run_inputs():
     # gate thresholds and method constants live in the library, not here
-    assert _leaves(DEFAULT_CONFIG) == 30
-    assert not {"thresholds", "risk", "fd", "weight"} & set(DEFAULT_CONFIG)
+    assert _leaves(DEFAULT_CONFIG) == 20
+    assert not ({"thresholds", "risk", "fd", "weight", "mesh", "bridge"}
+                & set(DEFAULT_CONFIG))
+
+
+# module constants that no run varies: the mesh gate's slack, the bridge's
+# kernel, tolerance and triad, the Dupire path's steps and the descent's
+# step size, noise and chain weight
+REMOVED_KEYS = {
+    "mesh.c1": 2000.0, "mesh.c2": 50.0,
+    "bridge.feature_kind": "nystrom", "bridge.rank": 8, "bridge.tol": 0.005,
+    "bridge.triad_center": 5,
+    "projection.path_steps": 8,
+    "descent.eta0": 0.1, "descent.noise_sigma": 0.005,
+    "descent.lambda_chain": 0.5,
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_config_rejects_the_removed_keys(key):
+    # even at the value the run uses, so that no file can set one
+    section, name = key.split(".")
+    with pytest.raises(ValueError, match="unknown config keys"):
+        RunConfig({section: {name: REMOVED_KEYS[key]}})
 
 
 BAD_CONFIGS = [
@@ -48,19 +70,24 @@ BAD_CONFIGS = [
     {"chain": {"n_maturities_used": 1}},
     {"chain": {"n_maturities_used": 50}},
     {"grid": {"n_maturities": 7}, "chain": {"n_maturities_used": 8}},
-    # keys that restated a library default and no longer exist
+    # keys that restated a library default, or that no run set, and no
+    # longer exist
     {"thresholds": {"kkt": 0.24}},
     {"risk": {"c_appr": 1.0}},
     {"fd": {"window_K": 5}},
     {"weight": {"floor": 0.05}},
     {"chain": {"band_C": 1.0}},
     {"bridge": {"ridge": 1e-8}},
-    # the triad needs a maturity on either side of its center, and the
-    # Nystrom rank lies between 1 and the number of strikes
     {"bridge": {"triad_center": 0}},
     {"bridge": {"triad_center": 10}},
     {"bridge": {"rank": 0}},
     {"bridge": {"rank": 40}},
+    # a file could flip a gate with these: one Dupire path step passes
+    # C3_dup where eight fail it, and c1 0.5 fails the mesh gate
+    {"projection": {"path_steps": 1}},
+    {"mesh": {"c1": 0.5}},
+    # the bridge's Nystrom kernel has rank 8, so the grid needs 8 strikes
+    {"grid": {"n_strikes": 7}},
     # a null is no default: only a key left out takes one
     {"seed": None},
     {"grid": None},
@@ -94,10 +121,18 @@ def test_config_rejects_chain_sizes_the_gate_cannot_use():
 
 
 def test_config_partial_override():
-    cfg = RunConfig({"seed": 3, "bridge": {"rank": 6}})
+    cfg = RunConfig({"seed": 3, "chain": {"n_maturities_used": 4}})
     assert cfg["seed"] == 3
-    assert cfg["bridge"]["rank"] == 6
-    assert cfg["bridge"]["tol"] == DEFAULT_CONFIG["bridge"]["tol"]
+    assert cfg["chain"]["n_maturities_used"] == 4
+    assert cfg["chain"]["sizes"] == DEFAULT_CONFIG["chain"]["sizes"]
+
+
+def test_config_names_the_key_that_leaves_too_few_strikes():
+    # the rank of the bridge's kernel is fixed, so the message names the
+    # strike count the user set, and 8 strikes load
+    with pytest.raises(ValueError, match="'/grid/n_strikes' must be at least 8"):
+        RunConfig({"grid": {"n_strikes": 7}})
+    RunConfig({"grid": {"n_strikes": 8}})
 
 
 @pytest.fixture(scope="module")

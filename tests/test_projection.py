@@ -438,10 +438,9 @@ def test_certificates_on_synthetic_surface(grid21x11, weight21x11,
 
 
 def test_certificates_trials_validation(grid21x11, weight21x11):
-    for bad in ({"trials": 0}, {"path_steps": 0}):
-        with pytest.raises(ValueError):
-            projection_certificates(np.ones(grid21x11.shape), weight21x11,
-                                    grid=grid21x11, **bad)
+    with pytest.raises(ValueError):
+        projection_certificates(np.ones(grid21x11.shape), weight21x11,
+                                grid=grid21x11, trials=0)
 
 
 # ---------------------------------------------------------------------------
@@ -620,17 +619,37 @@ def test_certificate_peak_memory_stays_under_its_guard():
     from arbsurf.pipeline import PipelineContext
     ctx = PipelineContext()
     ctx.stage_generate()
-    pc = ctx.config["projection"]
     noisy, w = ctx.art["noisy"], ctx.art["weight"]
     project_to_cone(noisy, w)  # the cone is cached, not counted below
     peak = traced_peak(projection_certificates, noisy, w, trials=200,
-                       path_steps=pc["path_steps"], rng_seed=ctx._seed("lip-pairs"))
+                       rng_seed=ctx._seed("lip-pairs"))
     assert peak <= 0.6e6
 
 
 # ---------------------------------------------------------------------------
 # the error bound of each projection, which the C3 gate reads
 # ---------------------------------------------------------------------------
+
+def _nonneg_row(cone, node):
+    """The cone's row that keeps one first-maturity node nonnegative."""
+    one = np.diff(cone.S.indptr) == 1
+    return int(np.flatnonzero(one & (cone.S.indices[cone.S.indptr[:-1]] == node))[0])
+
+
+def _bound_at(g, w, y, lam):
+    """The point of multipliers lam (None: none) for input y, as the solver
+    returns it, its error bound and the push t ||z|| along the interior
+    direction that the bound adds outside its duality gap."""
+    import arbsurf.projection as projection
+    cone, _ = projection._cone(g, w.w * quadrature_matrix(g))
+    if lam is None:
+        lam = np.zeros(cone.m)
+    u, s, terms = cone.check(cone.scale(np.asarray(y, float).ravel()), lam)
+    t = ((max(0.0, -float(s.min())) + projection._ROUND * float(terms.max()))
+         / cone.interior_min)
+    x = np.maximum(u / cone.sqrt_omega, 0.0).reshape(g.shape)
+    return x, projection._error_bound(cone, lam, s, terms), t * cone.interior_norm
+
 
 def _stopped_early(g, w, y):
     """Two points of y's projection stopped before convergence, each with
@@ -645,13 +664,8 @@ def _stopped_early(g, w, y):
     first = np.zeros(cone.m)
     first[W] = projection._newton(cone, b, W, ProjectionWarmStart())
     solved, _ = projection._solve_dual(cone, v, b, ProjectionWarmStart())
-    points = []
-    for lam in (np.maximum(first, 0.0), 0.5 * solved):
-        u, s, t = cone.check(v, lam)
-        e = projection._error_bound(cone, lam, s, t)
-        x = np.maximum(u / cone.sqrt_omega, 0.0)
-        points.append((x.reshape(g.shape), e))
-    return points
+    return [_bound_at(g, w, y, lam)[:2]
+            for lam in (np.maximum(first, 0.0), 0.5 * solved)]
 
 
 @pytest.mark.parametrize("n_strikes", [21, 31])
@@ -681,6 +695,82 @@ def test_error_bound_holds_against_the_oracle(n_strikes):
         assert 0.0 < weighted_norm(x - ref, w, g) <= warm.error_max <= 1e-4
         for early, e in _stopped_early(g, w, y):
             assert weighted_norm(early - ref, w, g) <= e
+
+
+def test_error_bound_gap_term_covers_a_large_multiplier():
+    # The last strike's first-maturity price of a Black-Scholes surface is
+    # set on its bound 0, and the input y is that surface minus L along the
+    # bound's row, so the surface is y's projection with multiplier L there.
+    # The multipliers checked keep L - delta on that row and put b on the
+    # at-the-money price's row: the point breaches by delta, and stands b
+    # from the projection.  Its duality gap lam.s + t lam.Sz is nearly all
+    # t lam.Sz (about 63, against lam.s = -0.8), and without that term the
+    # bound, 0.06, would fall below the distance, 0.27.  L is chosen so that
+    # lam.s = -b (slack + b) < 0
+    import arbsurf.projection as projection
+    from tests_oracle_helpers import nnls_cone_projection_full
+    g = Grid2D(np.linspace(80.0, 120.0, 11), np.linspace(0.1, 1.1, 5))
+    w = vega_bump_weight(g, 100.0)
+    K, T = np.meshgrid(g.strikes, g.maturities)
+    target = bs_call(100.0, K, T, 0.2)
+    target[0, -1] = 0.0
+    cone, _ = projection._cone(g, w.w * quadrature_matrix(g))
+    bound_row, atm_row = _nonneg_row(cone, g.strikes.size - 1), _nonneg_row(cone, 5)
+    slack = cone.values(cone.scale(target.ravel()))[atm_row]
+    b = 0.1 * slack
+    delta = 1e-4 * b
+    L = delta + 2.0 * b * (slack + b) / delta
+    v = cone.scale(target.ravel()) - L * cone.ST[:, [bound_row]].toarray().ravel()
+    y = (v / cone.sqrt_omega).reshape(g.shape)
+    ref = nnls_cone_projection_full(y, g, w)
+    assert np.max(np.abs(ref - target)) <= 1e-12
+    lam = np.zeros(cone.m)
+    lam[bound_row], lam[atm_row] = L - delta, b
+    x, e, shift = _bound_at(g, w, y, lam)
+    distance = weighted_norm(x - ref, w, g)
+    assert distance <= e
+    assert distance == pytest.approx(b, rel=1e-6)
+    assert 10 * distance <= e and 8 * shift <= distance
+
+
+def test_error_bound_rounding_allowance_covers_the_unscaling():
+    # A feasible input and no multipliers: the point is the input, scaled
+    # by sqrt(omega) and back, which moves some prices by an ulp.  Its gap
+    # and breach are 0, so the whole bound is the rounding allowance; the
+    # oracle's projection is the input itself
+    from tests_oracle_helpers import nnls_cone_projection_full
+    rng = np.random.default_rng(5)
+    g = Grid2D(np.linspace(80.0, 120.0, 11), np.linspace(0.1, 1.1, 5))
+    w = np.exp(rng.uniform(0.0, 5.0, g.shape))
+    w = WeightField(w / w.mean())
+    K, T = np.meshgrid(g.strikes, g.maturities)
+    y = bs_call(100.0, K, T, 0.2)
+    ref = nnls_cone_projection_full(y, g, w)
+    assert (ref == y).all()
+    x, e, _ = _bound_at(g, w, y, None)
+    distance = weighted_norm(x - ref, w, g)
+    assert 0.0 < distance <= e <= 1e-9
+
+
+def test_error_bound_holds_without_its_outer_push():
+    # The bound adds the push t ||z|| once inside its duality gap and once
+    # outside.  The outer one is slack: the Lagrangian at lam is 1-strongly
+    # convex with minimiser u, and is at most the optimum at the projection
+    # P(v), so ||u - P(v)||^2 <= 2 (optimum - dual) <= 2 gap.  Here, at the
+    # noisy input itself (no multipliers), the push is all of the bound but
+    # the rounding allowance, and the distance stays within the bound
+    # without its outer push
+    from tests_oracle_helpers import nnls_cone_projection_full
+    rng = np.random.default_rng(7)
+    g = Grid2D(np.linspace(80.0, 120.0, 11), np.linspace(0.1, 1.1, 5))
+    w = vega_bump_weight(g, 100.0)
+    K, T = np.meshgrid(g.strikes, g.maturities)
+    y = bs_call(100.0, K, T, 0.2) + 0.5 * rng.standard_normal(g.shape)
+    ref = nnls_cone_projection_full(y, g, w)
+    x, e, shift = _bound_at(g, w, y, None)
+    distance = weighted_norm(x - ref, w, g)
+    assert e == pytest.approx(2.0 * shift, rel=1e-6)
+    assert 0.0 < distance <= e - shift
 
 
 def test_projection_stopped_early_fails_the_lipschitz_gate(monkeypatch):

@@ -10,6 +10,11 @@ that is a literal equal to the default passes none.  A parameter that only
 its default reaches is a module constant instead.  The exceptions below
 each name why the function or parameter stays, and each must still be
 needed.
+
+The same holds for the run config: every ``DEFAULT_CONFIG`` leaf outside
+the run's input data (``seed``, ``grid`` and ``market``) must be given a
+second value by a config that a run uses: a benchmark workload, the
+benchmark's tiny test run, or a demo.
 """
 
 import ast
@@ -124,9 +129,7 @@ def _literal(node):
 def _passed(path: Path):
     """(called name, the values passed by position, the values passed by
     keyword) per call, each value ``_UNKNOWN`` unless it is a literal.  The
-    positional values stop at a ``*args``; ``**config[section]`` passes the
-    keys of that DEFAULT_CONFIG section."""
-    from arbsurf.pipeline import DEFAULT_CONFIG
+    positional values stop at a ``*args``; a ``**kwargs`` fails the test."""
     for node in ast.walk(ast.parse(path.read_text())):
         if not isinstance(node, ast.Call):
             continue
@@ -137,13 +140,9 @@ def _passed(path: Path):
         args = [_literal(a) for a in node.args[:n_args]]
         keys = {}
         for kw in node.keywords:
-            if kw.arg is not None:
-                keys[kw.arg] = _literal(kw.value)
-                continue
-            section = getattr(kw.value, "slice", None)
-            assert isinstance(section, ast.Constant), \
+            assert kw.arg is not None, \
                 f"{path.name}:{node.lineno}: **kwargs hides what it passes"
-            keys.update(dict.fromkeys(DEFAULT_CONFIG[section.value], _UNKNOWN))
+            keys[kw.arg] = _literal(kw.value)
         yield name, args, keys
 
 
@@ -197,3 +196,96 @@ def test_a_literal_equal_to_the_default_sets_nothing():
     assert _sets(9, 8)
     assert _sets(_UNKNOWN, 8)
     assert _sets(8, _UNKNOWN)
+
+
+# the run's input data, which any run may vary
+INPUT_SECTIONS = ("seed", "grid", "market")
+CONFIG_CALLS = ("run_pipeline", "RunConfig", "PipelineContext")
+
+
+def _module_constants(tree: ast.Module) -> dict:
+    """Module-level names bound to a literal, such as a workload's chain."""
+    out = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            try:
+                out[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+    return out
+
+
+def _evaluate(node, constants: dict):
+    """A literal that may name the module's literal constants."""
+    expr = ast.Expression(node)
+    return eval(compile(expr, "<config>", "eval"), {"__builtins__": {}},
+                dict(constants))
+
+
+def _assigned(path: Path, name: str):
+    """Every value assigned to ``name`` anywhere in the file."""
+    tree = ast.parse(path.read_text())
+    constants = _module_constants(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name
+                        for t in node.targets)):
+            yield _evaluate(node.value, constants)
+
+
+def _traffic_configs():
+    """The config overrides of every run the benchmark and the demos make."""
+    bench = ROOT / "perfbench"
+    for workloads in _assigned(bench / "run.py", "WORKLOADS"):
+        for overrides, _writes, _markets in workloads.values():
+            yield overrides
+    for overrides, _writes, _markets in _assigned(bench / "test_perfbench.py",
+                                                  "tiny"):
+        yield overrides
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in CONFIG_CALLS):
+                continue
+            args = node.args[:1] + [kw.value for kw in node.keywords
+                                    if kw.arg == "config"]
+            for arg in args:
+                value = _literal(arg)
+                assert value is not _UNKNOWN, \
+                    f"{path.name}:{node.lineno}: the config is not a literal"
+                if value is not None:
+                    yield value
+
+
+def _leaf_paths(tree: dict, prefix=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _lookup(tree: dict, path):
+    for key in path:
+        if not isinstance(tree, dict) or key not in tree:
+            return _UNKNOWN
+        tree = tree[key]
+    return tree
+
+
+def test_every_config_key_outside_the_input_data_has_traffic():
+    from arbsurf.pipeline import DEFAULT_CONFIG
+    configs = list(_traffic_configs())
+    # the benchmark's two workloads and its tiny test run at least
+    assert len(configs) >= 3
+    idle = []
+    for path in _leaf_paths(DEFAULT_CONFIG):
+        if path[0] in INPUT_SECTIONS:
+            continue
+        default = _lookup(DEFAULT_CONFIG, path)
+        values = [_lookup(cfg, path) for cfg in configs]
+        if not any(v is not _UNKNOWN and v != default for v in values):
+            idle.append("/".join(path))
+    assert idle == [], f"no run sets {idle}: make each a module constant"
