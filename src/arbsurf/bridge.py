@@ -50,6 +50,9 @@ DAMPING_MAX = 1.0
 # iterations the final annealing stage runs at least, so that the r_geo
 # certificate reads a tail of ratios
 MIN_FINAL_ITERS = 12
+# results a stage's log-sum-exp memo keeps, newest first: a sweep adds at
+# most 5, and every result it reuses is among the 5 newest
+LSE_MEMO_ENTRIES = 8
 
 
 def _logsumexp(a, axis=None, keepdims=False):
@@ -138,8 +141,16 @@ class TriMarginalProblem:
 
 @dataclass
 class StageKernels:
+    """One annealing stage: its eps, its log-kernel (read-only) and the
+    memo of its log-sum-exps that ``_LogMarginals`` reads and fills."""
+
     eps: float
     logK: np.ndarray
+    lse_memo: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def __post_init__(self):
+        self.logK.flags.writeable = False
 
 
 @dataclass
@@ -250,7 +261,20 @@ class CertificateSet:
 
 
 class _LogMarginals:
-    """Streaming log-sum-exp marginalizations of the implied coupling."""
+    """Streaming log-sum-exp marginalizations of the implied coupling.
+
+    Each is one log-sum-exp of the stage's log-kernel plus a vector: S and
+    P1 add C and B + log S along axis 1, R and P3 add A and B + log R along
+    axis 0.  The stage's ``lse_memo`` maps (axis, the vector's bytes) to the
+    result, so a marginalization whose vector has not changed since an
+    earlier one on the stage returns the array that one computed, which
+    byte-identical inputs make the same bits.  Within a sweep R and S are
+    reused across the u, v and w updates, the eta step and the residual,
+    and the next sweep's u update reuses the residual's S and P1; the
+    residuals after the loop reuse the final stage's.  The memo keeps the
+    ``LSE_MEMO_ENTRIES`` newest results, read-only, the oldest going
+    first.
+    """
 
     def __init__(self, problem: TriMarginalProblem, st: StageKernels,
                  state: BridgeState):
@@ -259,25 +283,38 @@ class _LogMarginals:
         self.B = lm2 + state.log_v + state.eta * problem.x / st.eps
         self.C = lm3 + state.log_w
         self.logK = st.logK
+        self.memo = st.lse_memo
+
+    def _lse(self, axis, vec):
+        """log-sum-exp of logK + vec along ``axis``: vec indexes the columns
+        for axis 1 and the rows for axis 0."""
+        key = (axis, vec.tobytes())
+        out = self.memo.get(key)
+        if out is None:
+            out = _logsumexp(self.logK + (vec[None, :] if axis == 1 else vec[:, None]),
+                             axis=axis)
+            out.flags.writeable = False
+            self.memo[key] = out
+            if len(self.memo) > LSE_MEMO_ENTRIES:
+                del self.memo[next(iter(self.memo))]
+        return out
 
     def log_S(self):
         # S_j = sum_k K[j,k] exp(C_k)
-        return _logsumexp(self.logK + self.C[None, :], axis=1)
+        return self._lse(1, self.C)
 
     def log_R(self):
         # R_j = sum_i K[i,j] exp(A_i)
-        return _logsumexp(self.logK + self.A[:, None], axis=0)
+        return self._lse(0, self.A)
 
     def log_P1(self):
-        return self.A + _logsumexp(self.logK + (self.B + self.log_S())[None, :],
-                                   axis=1)
+        return self.A + self._lse(1, self.B + self.log_S())
 
     def log_P2(self):
         return self.B + self.log_R() + self.log_S()
 
     def log_P3(self):
-        return self.C + _logsumexp(self.logK + (self.B + self.log_R())[:, None],
-                                   axis=0)
+        return self.C + self._lse(0, self.B + self.log_R())
 
 
 def _residual_tuple(problem, st, state):
@@ -354,6 +391,13 @@ def tri_sinkhorn(problem: TriMarginalProblem,
     then neither enforces nor certifies r2: ``certs.kkt`` is the largest of
     the other three components, ``certs.kkt_components`` keeps all four,
     and ``converged`` is ``kkt <= tol`` in both modes.
+
+    Each distinct log-sum-exp is taken once: every stage's kernels carry a
+    memo of their results (see ``_LogMarginals``), so a sweep takes at most
+    five, a stage's first sweep seven, and the residuals the fallback ladder and
+    ``certify`` read after the loop take none that the final stage's last
+    sweep did not.  The default run's 15 sweeps take 83, not 240, and every
+    bit of the result is the same.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

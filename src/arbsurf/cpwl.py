@@ -183,12 +183,14 @@ def triangulate_tensor_grid(xs: np.ndarray, ys: np.ndarray,
 # width × block × 8 B, 0.6 MB over the layers of the default run's net
 # (widths 1536, 1536, 799, 514, 289, 1) at 16 points and 2.4 MB at 64.
 # Whether glibc reuses freed blocks or trims them and faults them in again
-# depends on what the rest of the run left on the heap.  Per call on the
-# 2000-point audit (2-core Xeon, glibc malloc defaults, then trimming off):
-# 64 points 51-54 ms and 21k minor faults, 23 ms; 32 points 27-54 ms and up
-# to 18k faults, 27 ms; 16 points 30 ms and no faults in both layouts
-# measured, 30 ms; 8 points 46-50 ms, 46-49 ms.  In the layout that faults
-# at 32, 24 and 28 points do not; 16 keeps a wide margin below that onset.
+# depends on what the rest of the run left on the heap.  CPU time per call
+# of the default run's 2000-point audit, inside full runs (2-core Xeon, 2-4
+# processes of 5 calls each, whose speeds differed by a third): with glibc
+# malloc defaults, 8 points 27-40 ms and at most 67 minor faults, 16 points
+# 22-31 ms and 90-190 faults (the block-wide bias and floor, made once per
+# call), 32 points 54-72 ms and 16k-18k faults, 64 points 55-85 ms and 21k
+# faults; with trimming and mmap off, 26, 18, 16 and 17 ms and at most 40
+# faults.  16 is the largest block that does not fault with the defaults.
 EVAL_BLOCK_ROWS = 16
 
 @dataclass
@@ -215,17 +217,40 @@ class ReluNet:
         (for the pipeline's 2000-point audit of a 1536-unit layer, 0.2 MB
         instead of 25 MB).  A sparse-times-dense product computes each
         point's column on its own, so the result equals a one-shot pass bit
-        for bit.
+        for bit.  Each layer is its product plus at most one pass over the
+        block: the bias is added only where it is nonzero (in a compiled net,
+        the first layer), and the rectifier is one maximum against a floor of
+        0 for rectified units and -inf for the others (x + 0 and
+        max(x, -inf) are x for every product x, which is never -0), skipped
+        on a layer that rectifies nothing.  A compiled net's 6 layers thus
+        take 1 bias pass and 4 maxima per block, not 6 of each.  On the
+        default run's 2000-point audit that is about half the CPU time of a
+        bias pass and a masked maximum on every layer (0.48-0.56 of it over
+        30 alternating calls in one process and in full runs; 2-core Xeon).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        cols = min(pts.shape[0], EVAL_BLOCK_ROWS)
+
+        def block(unit_values):
+            # one column per point of a block: a contiguous operand runs
+            # the pass about 3x faster than a broadcast column
+            return np.repeat(unit_values[:, None], cols, axis=1)
+
+        steps = [(layer.W, block(layer.b) if layer.b.any() else None,
+                  block(np.where(layer.relu, 0.0, -np.inf))
+                  if layer.relu.any() else None)
+                 for layer in self.layers]
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], EVAL_BLOCK_ROWS):
             z = np.ascontiguousarray(pts[start:start + EVAL_BLOCK_ROWS].T)
-            for layer in self.layers:
-                z = layer.W @ z
-                z += layer.b[:, None]
-                np.maximum(z, 0.0, out=z, where=layer.relu[:, None])
-            out[start:start + z.shape[1]] = z[0]
+            k = z.shape[1]
+            for W, bias, floor in steps:
+                z = W @ z
+                if bias is not None:
+                    z += bias[:, :k]
+                if floor is not None:
+                    np.maximum(z, floor[:, :k], out=z)
+            out[start:start + k] = z[0]
         return out if np.asarray(points).ndim > 1 else out[0]
 
     def __call__(self, points):

@@ -127,6 +127,12 @@ def _merge_config(user: dict, defaults: dict = DEFAULT_CONFIG,
     return out
 
 
+def _grid_of(gc: dict) -> Grid2D:
+    """The mesh that a config's ``grid`` section describes."""
+    return Grid2D(np.linspace(gc["k_min"], gc["k_max"], gc["n_strikes"]),
+                  np.linspace(gc["tau_min"], gc["tau_max"], gc["n_maturities"]))
+
+
 class RunConfig(dict):
     """Validated pipeline configuration tree."""
 
@@ -135,6 +141,10 @@ class RunConfig(dict):
         if self["seed"] < 0:
             raise ValueError("config key '/seed' must be a non-negative "
                              "integer: it seeds numpy's SeedSequence")
+        try:
+            _grid_of(self["grid"])
+        except ValueError as exc:
+            raise ValueError(f"config section '/grid' describes no grid: {exc}") from None
         n_mat, n_k = self["grid"]["n_maturities"], self["grid"]["n_strikes"]
         if not 2 <= self["chain"]["n_maturities_used"] <= n_mat:
             raise ValueError(f"config key '/chain/n_maturities_used' must lie "
@@ -220,9 +230,7 @@ class PipelineContext:
     def stage_generate(self):
         cfg = self.config
         gc, mc = cfg["grid"], cfg["market"]
-        grid = Grid2D(np.linspace(gc["k_min"], gc["k_max"], gc["n_strikes"]),
-                      np.linspace(gc["tau_min"], gc["tau_max"],
-                                  gc["n_maturities"]))
+        grid = _grid_of(gc)
         params = MarketParams(spot=mc["spot"], rate=mc["rate"],
                               dividend=mc["dividend"], vol_kind=mc["vol_kind"],
                               vol_level=mc["vol_level"],
@@ -278,6 +286,7 @@ class PipelineContext:
                           grid)
 
         net = compile_to_relu(fit_noisy)
+        t0 = time.perf_counter()
         rng = np.random.default_rng(self._seed("relu-audit"))
         sample = np.column_stack([
             rng.uniform(grid.strikes[0], grid.strikes[-1], 2000),
@@ -285,6 +294,7 @@ class PipelineContext:
         ])
         maxabs = float(np.max(np.abs(net.evaluate(sample)
                                      - fit_noisy.evaluate(sample))))
+        self.summary["meta"]["wall_relu_audit"] = time.perf_counter() - t0
 
         frontier = error_frontier(interp_target(self.art["noisy"]),
                                   sm["frontier_levels"], acfg, domain,

@@ -463,3 +463,79 @@ def test_warm_start_homotopy_kkt_monotone():
     stage_end = [trace[-1][4] for trace in state.stage_traces]
     for prev, nxt in zip(stage_end, stage_end[1:]):
         assert nxt <= prev + tol
+
+
+# ---------------------------------------------------------------------------
+# the log-sum-exp memo
+# ---------------------------------------------------------------------------
+
+def _seeded_problem(seed, **kw):
+    """Random marginals on 12 atoms; their means are not in convex order,
+    so no tight tolerance is reachable."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.8, 1.2, 12)
+    m1, m2, m3 = rng.dirichlet(np.ones(12), size=3)
+    return TriMarginalProblem(x, m1, m2, m3, epsilon_schedule=(1.0, 0.3, 0.1),
+                              **kw)
+
+
+def _memo_free(monkeypatch):
+    """Make every marginalization take its log-sum-exp afresh."""
+    import arbsurf.bridge as bridge
+
+    def lse(self, axis, vec):
+        return _logsumexp(self.logK + (vec[None, :] if axis == 1 else vec[:, None]),
+                          axis=axis)
+
+    monkeypatch.setattr(bridge._LogMarginals, "_lse", lse)
+
+
+@pytest.mark.parametrize("case", [
+    dict(seed=1, kw={}, run={}),
+    dict(seed=2, kw={"feature_kind": "nystrom", "rank": 8}, run={}),
+    dict(seed=3, kw={}, run={"update_middle": False}),
+    dict(seed=4, kw={}, run={"tol": 1e-9, "t_max": 60}),
+])
+def test_memo_run_equals_memo_free_run_bit_for_bit(case, monkeypatch):
+    def solve():
+        prob = _seeded_problem(case["seed"], **case["kw"])
+        run = {"tol": 5e-3, **case["run"]}
+        return tri_sinkhorn(prob, build_bridge(prob), **run)
+
+    with_memo = solve()
+    with monkeypatch.context() as m:
+        _memo_free(m)
+        without = solve()
+    if case["run"].get("tol") == 1e-9:
+        assert with_memo[1].fallbacks_taken == ("marginal_rebalance",
+                                                "damping_increase", "eps_backtrack")
+    (state, certs), (ref_state, ref_certs) = with_memo, without
+    for name in ("log_u", "log_v", "log_w"):
+        assert getattr(state, name).tobytes() == getattr(ref_state, name).tobytes()
+    # repr writes every float so that it reads back to the same bits
+    assert repr(state.eta) == repr(ref_state.eta)
+    assert repr(state.residual_trace) == repr(ref_state.residual_trace)
+    assert repr(state.stage_traces) == repr(ref_state.stage_traces)
+    assert repr(certs) == repr(ref_certs)
+
+
+def test_default_run_takes_five_log_sum_exps_per_sweep(monkeypatch):
+    # a sweep's u, v and w updates, eta step and residual need five distinct
+    # log-sum-exps, and a stage's first sweep two more for its u update; the
+    # residuals after the loop need none
+    import arbsurf.bridge as bridge
+    from arbsurf.pipeline import PipelineContext
+    calls = [0]
+
+    def counting(*args, **kw):
+        calls[0] += 1
+        return _logsumexp(*args, **kw)
+
+    ctx = PipelineContext()
+    ctx.stage_generate()
+    ctx.stage_fit()
+    monkeypatch.setattr(bridge, "_logsumexp", counting)
+    ctx.stage_bridge()
+    sweeps = ctx.summary["C2"]["iterations"]
+    assert (sweeps, ctx.summary["C2"]["fallbacks_taken"]) == (15, [])
+    assert calls[0] == 5 * sweeps + 2 * 4 == 83   # 240 without the memo

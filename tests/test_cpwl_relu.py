@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from arbsurf.cpwl import (EVAL_BLOCK_ROWS, CpwlFunction, compile_to_relu,
-                          triangulate_tensor_grid)
+from scipy import sparse
+
+from arbsurf.cpwl import (EVAL_BLOCK_ROWS, CpwlFunction, ReluNet, _Layer,
+                          compile_to_relu, triangulate_tensor_grid)
 from conftest import traced_peak
 from tests_oracle_helpers import dict_compile_to_relu
 
@@ -158,6 +160,36 @@ def test_single_point_evaluate_equals_one_shot_pass():
     got = net.evaluate(point)
     assert np.ndim(got) == 0
     assert got == _one_shot(net, point)[0]
+
+
+def _hand_built_net(rng):
+    """Widths 5, 4, 3, 1: a first layer with a bias and mixed rectifier
+    flags, a hidden layer with a bias whose units are all rectified, a
+    layer with mixed flags and no bias, and an affine readout."""
+    shapes = [(5, 2), (4, 5), (3, 4), (1, 3)]
+    biases = [rng.standard_normal(5), rng.standard_normal(4), np.zeros(3),
+              np.zeros(1)]
+    relus = [np.array([True, False, True, False, False]), np.ones(4, bool),
+             np.array([False, True, False]), np.zeros(1, bool)]
+    layers = [_Layer(sparse.csr_matrix(rng.standard_normal(shape)), b, r)
+              for shape, b, r in zip(shapes, biases, relus)]
+    return ReluNet(layers=layers, depth=3, param_count=0)
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 2000])
+def test_hand_built_net_evaluates_equal_to_one_shot_pass(n):
+    # every case of a layer's bias and rectifier flags that evaluate tells
+    # apart, on one block, a block and one point, and many blocks
+    rng = np.random.default_rng(5)
+    net = _hand_built_net(rng)
+    pts = rng.standard_normal((n, 2))
+    got = net.evaluate(pts)
+    assert got.shape == (n,)
+    assert np.array_equal(got, _one_shot(net, pts))
+    # the pass-through units of the first layer go negative and stay so
+    first = net.layers[0]
+    z = pts @ first.W.toarray().T + first.b
+    assert (z[:, ~first.relu] < 0).any()
 
 
 def test_valence_above_dmax_raises():

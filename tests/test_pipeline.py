@@ -70,6 +70,13 @@ BAD_CONFIGS = [
     {"chain": {"n_maturities_used": 1}},
     {"chain": {"n_maturities_used": 50}},
     {"grid": {"n_maturities": 7}, "chain": {"n_maturities_used": 8}},
+    # grids that Grid2D rejects, which loaded and failed in stage generate:
+    # too few maturities, strikes or maturities not increasing, and a
+    # maturity that is not positive
+    {"grid": {"n_maturities": 2}, "chain": {"n_maturities_used": 2}},
+    {"grid": {"k_min": 120.0, "k_max": 120.0}},
+    {"grid": {"tau_min": 0}},
+    {"grid": {"tau_min": 0.5, "tau_max": 0.4}},
     # keys that restated a library default, or that no run set, and no
     # longer exist
     {"thresholds": {"kkt": 0.24}},
@@ -226,6 +233,19 @@ def test_cli_bad_config_returns_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [
+    {"n_maturities": 2}, {"k_min": 120.0, "k_max": 120.0}, {"tau_min": 0},
+    {"tau_min": 0.5, "tau_max": 0.4}])
+def test_cli_all_rejects_a_grid_that_grid2d_rejects_as_config(tmp_path, capsys, grid):
+    # such a grid used to load, and the run stopped at stage generate
+    bad = tmp_path / "grid.json"
+    bad.write_text(json.dumps({"grid": grid, "chain": {"n_maturities_used": 2}}))
+    assert cli_main(["all", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config section '/grid' describes no grid")
+    assert "pipeline stage" not in err
+
+
 def test_cli_options_go_before_or_after_the_stage(tmp_path, capsys):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert cli_main(["--seed", "3", "--out", str(a), "generate"]) == 0
@@ -310,12 +330,13 @@ def test_cli_single_stage_is_timed(tmp_path, capsys):
     meta = doc["meta"]
     counters = ("calls", "newton_steps", "factor_reuses", "safeguard_steps",
                 "error_max")
-    assert set(meta) == {"wall_generate", "wall_fit", "wall_project",
-                         "wall_gate", "timestamp"} | {
+    assert set(meta) == {"wall_generate", "wall_fit", "wall_relu_audit",
+                         "wall_project", "wall_gate", "timestamp"} | {
                              f"proj_{sequence}_{name}"
                              for sequence in ("certificates", "project")
                              for name in counters}
     assert all(t >= 0 for t in meta.values())
+    assert meta["wall_relu_audit"] < meta["wall_fit"]
 
 
 def test_stage_graph_lists_each_stage_after_its_dependencies():

@@ -1,22 +1,30 @@
 """Leaf-by-leaf comparison of two source trees' summaries on the benchmark
-markets.
+markets, and optionally of their time per market.
 
-    python3 tools/summary_diff.py PARENT_SRC CHANGE_SRC
+    python3 tools/summary_diff.py PARENT_SRC CHANGE_SRC [--rounds N]
 
 Each ``*_SRC`` is a directory holding the ``arbsurf`` package, such as a
 checkout's ``src``.  Each tree's ``run_pipeline`` runs in its own subprocess
 (one BLAS thread) on every market of the ``ref31`` and ``descent3k``
 workloads at seed 7, with the configs and market seeds that
 ``perfbench/run.py`` declares, artifacts included where the workload writes
-them.  The script prints, for each market, both exit statuses and whether
-the SHA-256 digests of ``strip_meta(summary)`` are equal, beside each
-tree's minor page faults over its ``run_pipeline`` call
-(``getrusage(RUSAGE_SELF).ru_minflt``), which no summary records and which
-move with heap layout; then, for each leaf
+them.  The two subprocesses stay alive and take one market at a time, in
+turn, so that only one call runs at any moment.  The script prints, for each
+market, both exit statuses and whether the SHA-256 digests of
+``strip_meta(summary)`` are equal, beside each tree's minor page faults over
+its ``run_pipeline`` call (``getrusage(RUSAGE_SELF).ru_minflt``), which no
+summary records and which move with heap layout; then, for each leaf
 that moved, the number of markets where it moved and its largest relative
 change, first the summary's leaves and then the ``meta`` counters (the
 ``wall_*`` times and the timestamp are left out).  List elements are grouped
 as ``[*]``.  Exits 1 if any market's exit status or digest differs.
+
+With ``--rounds N`` the markets then run N more times in both trees, the
+comparison pass serving as warm-up: each round calls every market once in
+each tree, the parent first in even rounds and the change first in odd
+ones.  For each workload it prints the median and the quartiles of the
+change/parent ratio of process CPU seconds per ``run_pipeline`` call, over
+its markets and rounds, with the number of ratios.
 """
 
 from __future__ import annotations
@@ -28,9 +36,11 @@ import math
 import os
 import re
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,38 +48,78 @@ WORKLOADS = ("ref31", "descent3k")
 SEED = 7
 
 
-def run_markets(src: str) -> None:
-    """Child side: run every market with the package in ``src`` and print
-    one JSON line each."""
+def serve(src: str) -> None:
+    """Child side: for each (workload, market) JSON line on standard input,
+    run that market with the package in ``src`` and print one JSON line."""
     sys.path[:0] = [src, str(ROOT / "perfbench")]
     import run as bench
     from arbsurf.pipeline import run_pipeline, strip_meta, summary_to_json
-    for workload in WORKLOADS:
+    for line in sys.stdin:
+        workload, market = json.loads(line)
         writes = bench.WORKLOADS[workload][1]
-        for market in bench.market_seeds(workload, SEED):
-            record = {"workload": workload, "market": market, "minflt": None}
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            try:
-                with tempfile.TemporaryDirectory() as out:
-                    summary, status = run_pipeline(bench.build_config(workload, market),
-                                                   out_dir=Path(out) if writes else None)
-                    record["minflt"] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                                        - faults)
-            except Exception as exc:  # reported per market, as the benchmark does
-                record.update(status=f"raised {type(exc).__name__}: {exc}",
-                              digest=None, summary=None)
-            else:
-                text = summary_to_json(strip_meta(summary))
-                record.update(status=status,
-                              digest=hashlib.sha256(text.encode()).hexdigest(),
-                              summary=json.loads(summary_to_json(summary)))
-            print(json.dumps(record), flush=True)
+        record = {"workload": workload, "market": market, "minflt": None,
+                  "cpu_s": None}
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        cpu = time.process_time()
+        try:
+            with tempfile.TemporaryDirectory() as out:
+                summary, status = run_pipeline(bench.build_config(workload, market),
+                                               out_dir=Path(out) if writes else None)
+                record["cpu_s"] = time.process_time() - cpu
+                record["minflt"] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                                    - faults)
+        except Exception as exc:  # reported per market, as the benchmark does
+            record.update(status=f"raised {type(exc).__name__}: {exc}",
+                          digest=None, summary=None)
+        else:
+            text = summary_to_json(strip_meta(summary))
+            record.update(status=status,
+                          digest=hashlib.sha256(text.encode()).hexdigest(),
+                          summary=json.loads(summary_to_json(summary)))
+        print(json.dumps(record), flush=True)
 
 
 def start(src: str) -> subprocess.Popen:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.Popen([sys.executable, __file__, "--child", src],
-                            stdout=subprocess.PIPE, text=True, env=env, cwd=ROOT)
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            text=True, env=env, cwd=ROOT)
+
+
+def call(proc: subprocess.Popen, workload: str, market: int) -> dict:
+    """Run one market in a child and wait for its record."""
+    proc.stdin.write(json.dumps([workload, market]) + "\n")
+    proc.stdin.flush()
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError(f"a tree's child exited with status {proc.wait()}")
+    return json.loads(line)
+
+
+def markets() -> list:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run as bench
+    return [(workload, market) for workload in WORKLOADS
+            for market in bench.market_seeds(workload, SEED)]
+
+
+def time_rounds(procs, todo, rounds: int) -> None:
+    """Print each workload's change/parent CPU-time ratios over ``rounds``
+    alternating rounds of the markets in ``todo``."""
+    ratios = {workload: [] for workload in WORKLOADS}
+    for r in range(rounds):
+        for workload, market in todo:
+            cpu = {}
+            for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+                cpu[side] = call(procs[side], workload, market)["cpu_s"]
+            if None not in cpu.values():
+                ratios[workload].append(cpu[1] / cpu[0])
+    print(f"\nCPU time per call, change/parent, {rounds} alternating rounds")
+    for workload, values in ratios.items():
+        if len(values) >= 2:
+            q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            print(f"  {workload:10} median {med:.3f}  IQR {q1:.3f}-{q3:.3f}  "
+                  f"({len(values)} ratios)")
 
 
 def leaves(tree, path=""):
@@ -119,19 +169,9 @@ def _pairs(summary):
     return [((path, i), v) for path, values in out.items() for i, v in enumerate(values)]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent_src")
-    parser.add_argument("change_src")
-    args = parser.parse_args(argv)
-    procs = [start(str(Path(p).resolve())) for p in (args.parent_src, args.change_src)]
-    runs = []
-    for proc in procs:
-        out, _ = proc.communicate()
-        if proc.returncode != 0:
-            print(f"a tree's run failed with exit status {proc.returncode}")
-            return 2
-        runs.append([json.loads(line) for line in out.splitlines()])
+def compare(runs) -> int:
+    """Print the comparison of the two trees' records; 1 if a market's
+    exit status or digest differs."""
     differs = False
     print(f"{'workload':10} {'market':>8}  parent  change  digest   "
           "minor faults: parent  change")
@@ -159,8 +199,32 @@ def main(argv=None) -> int:
     return 1 if differs else 0
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--rounds", type=int, default=0,
+                        help="then time N alternating rounds of every market")
+    args = parser.parse_args(argv)
+    procs = [start(str(Path(p).resolve())) for p in (args.parent_src, args.change_src)]
+    todo = markets()
+    try:
+        runs = [[call(proc, *market) for proc in procs] for market in todo]
+        status = compare(list(zip(*runs)))
+        if args.rounds:
+            time_rounds(procs, todo, args.rounds)
+    except RuntimeError as exc:
+        print(exc)
+        return 2
+    finally:
+        for proc in procs:
+            proc.stdin.close()
+            proc.wait()
+    return status
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        run_markets(sys.argv[2])
+        serve(sys.argv[2])
     else:
         sys.exit(main())
