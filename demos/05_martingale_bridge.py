@@ -23,8 +23,9 @@ kernels = build_bridge(problem)
 state, certs = tri_sinkhorn(problem, kernels, tol=5e-3)
 
 print(f"annealing path: {problem.epsilon_schedule}")
-print(f"iterations: {certs.iterations}, damping at exit: {state.damping:.2f}, "
-      f"fallbacks: {list(certs.fallbacks_taken) or 'none'}")
+print(f"iterations: {certs.iterations} "
+      f"(per stage {[len(trace) for trace in state.stage_traces]}), "
+      f"converged: {certs.converged}")
 print(f"\ncertificates:")
 print(f"  KKT residual   {certs.kkt:.3e}   (pass band <= {KKT_PASS})  "
       f"{'PASS' if certs.pass_kkt else 'FAIL'}")

@@ -1,7 +1,7 @@
 """Tri-marginal entropic optimal transport with a martingale constraint.
 
-Log-domain three-block Sinkhorn scaling with an epsilon-annealing path,
-adaptive damping, a safeguarded 1D Newton step on the martingale multiplier,
+Log-domain three-block Sinkhorn scaling along an epsilon-annealing path,
+undamped, with a safeguarded 1D Newton step on the martingale multiplier,
 and the audit certificates (KKT residual, geometric tail ratio, whitened-Gram
 strong-convexity proxy).  The entropy is taken against the product of the
 marginals, so the coupling has the Gibbs form m1*m2*m3 * K * u v w with
@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .fd import weighted_operator_norm
 
 __all__ = [
     "TriMarginalProblem",
@@ -44,9 +42,6 @@ RGEO_PASS = 1.05
 MUHAT_BAND = (1e-4, 1e-1)
 # ridge on the whitened Gram matrix whose smallest eigenvalue is mu_hat
 GRAM_RIDGE = 1e-8
-# the damping factor of a Sinkhorn update adapts within these bounds
-DAMPING_MIN = 0.1
-DAMPING_MAX = 1.0
 # iterations the final annealing stage runs at least, so that the r_geo
 # certificate reads a tail of ratios
 MIN_FINAL_ITERS = 12
@@ -184,8 +179,8 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
     Dense mode stores exact log-kernels -c/eps.  Nystrom mode (evenly spaced
     landmark columns) materializes the rank-limited kernel (memory stays
     O(n^2)), floors tiny or negative entries before the log, and records the
-    operator-error proxy delta estimated by power iteration on the
-    residual.
+    operator-error proxy delta, the spectral norm of the final stage's
+    kernel residual K - K_hat.
     """
     n = problem.n
     c = problem.cost_matrix()
@@ -207,7 +202,7 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
         K_hat = phi @ phi.T
         stages.append(StageKernels(eps, np.log(np.maximum(K_hat, 1e-300))))
     # the loop leaves the final stage's kernel and factor
-    delta = weighted_operator_norm(K - K_hat, np.ones(n), n_iter=120)
+    delta = np.linalg.norm(K - K_hat, 2)
     return BridgeKernels(stages=stages, phi2=_whiten_factor(phi), delta=float(delta))
 
 
@@ -215,23 +210,23 @@ def build_bridge(problem: TriMarginalProblem) -> BridgeKernels:
 class BridgeState:
     """Log-domain dual scalings; log_v excludes the eta*x/eps tilt.
 
-    ``residual_trace`` holds every sweep's residuals; ``stage_traces`` one
-    list per annealing stage, which omits the eps-backtrack's sweeps at the
-    previous eps.  ``enforced`` names the residual components (r1, r2, r3,
-    martingale) the run drives to its tolerance, and so the ones its KKT
-    residual is the max of: all four, or all but r2 when the middle
-    marginal is left free."""
+    ``stage_traces`` holds one list of sweep residuals per annealing stage,
+    and ``residual_trace`` is their concatenation, every sweep in order.
+    ``enforced`` names the residual components (r1, r2, r3, martingale) the
+    run drives to its tolerance, and so the ones its KKT residual is the max
+    of: all four, or all but r2 when the middle marginal is left free."""
 
     log_u: np.ndarray
     log_v: np.ndarray
     log_w: np.ndarray
     eta: float
-    residual_trace: list = field(default_factory=list)
     stage_traces: list = field(default_factory=list)
-    damping: float = 1.0
-    fallbacks_taken: list = field(default_factory=list)
     converged: bool = True
     enforced: tuple = (0, 1, 2, 3)
+
+    @property
+    def residual_trace(self) -> list:
+        return [r for trace in self.stage_traces for r in trace]
 
 
 @dataclass
@@ -244,7 +239,6 @@ class CertificateSet:
     epsilon_final: float
     ratio_iqr: tuple = (0.0, 0.0)
     delta_lowrank: float = 0.0
-    fallbacks_taken: tuple = ()
     converged: bool = True
 
     @property
@@ -375,13 +369,16 @@ def tri_sinkhorn(problem: TriMarginalProblem,
                  tol: float = KKT_PASS,
                  t_max: int = 400,
                  update_middle: bool = True):
-    """Run the annealed, damped log-domain tri-Sinkhorn loop.
+    """Run the annealed log-domain tri-Sinkhorn loop.
 
-    Each stage runs at most ``t_max`` sweeps, the final one at least
-    ``MIN_FINAL_ITERS``; the damping adapts within [``DAMPING_MIN``,
-    ``DAMPING_MAX``].  Returns (BridgeState, CertificateSet).  A run that
-    exhausts its budget after the fallback ladder reports ``converged=False``
-    on both outputs instead of raising; the caller gates on the certificates.
+    Each stage sweeps the u, v and w updates and the eta Newton step,
+    undamped, until its residual meets ``tol`` or it has run ``t_max``
+    sweeps; the final stage runs at least ``MIN_FINAL_ITERS``, so that the
+    r_geo certificate reads a tail of ratios, and ``t_max`` below that
+    raises ``ValueError``.  Returns (BridgeState, CertificateSet), both
+    with ``converged`` true when the final residual meets ``tol``; a run
+    that does not reports so instead of raising, and the caller gates on
+    the certificates.
 
     ``update_middle=False`` freezes the middle potential so the middle
     marginal is carried only by the entropic reference.  That is the
@@ -394,105 +391,51 @@ def tri_sinkhorn(problem: TriMarginalProblem,
 
     Each distinct log-sum-exp is taken once: every stage's kernels carry a
     memo of their results (see ``_LogMarginals``), so a sweep takes at most
-    five, a stage's first sweep seven, and the residuals the fallback ladder and
-    ``certify`` read after the loop take none that the final stage's last
-    sweep did not.  The default run's 15 sweeps take 83, not 240, and every
-    bit of the result is the same.
+    five, a stage's first sweep seven, and the residuals ``certify`` reads
+    after the loop take none that the final stage's last sweep did not.
+    The default run's 15 sweeps take 83, not 240, and every bit of the
+    result is the same.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if t_max < MIN_FINAL_ITERS:
+        raise ValueError(f"t_max ({t_max}) must be at least MIN_FINAL_ITERS "
+                         f"({MIN_FINAL_ITERS})")
     if kernels is None:
         kernels = build_bridge(problem)
     n = problem.n
     state = BridgeState(np.zeros(n), np.zeros(n), np.zeros(n), 0.0,
                         enforced=(0, 1, 2, 3) if update_middle else (0, 2, 3))
-    state.damping = DAMPING_MAX
     active1 = problem.m1 > 0
     active2 = (problem.m2 > 0) if update_middle else np.zeros(n, dtype=bool)
     active3 = problem.m3 > 0
     lm1, lm2, lm3 = problem.log_m
 
-    def rescale(factor):
-        # the log-scalings are potentials over eps: a move from eps to eps'
-        # multiplies them by eps / eps'
-        state.log_u *= factor
-        state.log_v *= factor
-        state.log_w *= factor
-
-    def run_stage(st, t_budget, min_iters=1):
-        """Sweep at ``st``'s eps; every sweep joins ``residual_trace``, and
-        the stage's own trace is returned."""
-        gamma = state.damping
-        trace = []
-        increases = 0
-        for t in range(t_budget):
-            lm = _LogMarginals(problem, st, state)
-            state.log_u[active1] += gamma * (lm1[active1] - lm.log_P1()[active1])
-            lm = _LogMarginals(problem, st, state)
-            if active2.any():
-                state.log_v[active2] += gamma * (lm2[active2] - lm.log_P2()[active2])
-            lm = _LogMarginals(problem, st, state)
-            state.log_w[active3] += gamma * (lm3[active3] - lm.log_P3()[active3])
-            state.eta += _eta_newton(problem, st, state)
-            comps = _residual_tuple(problem, st, state)
-            trace.append(comps)
-            res = comps[4]
-            if len(trace) >= 2:
-                if res > trace[-2][4]:
-                    increases += 1
-                    if increases >= 2:
-                        gamma = max(gamma / 1.5, DAMPING_MIN)
-                        increases = 0
-                else:
-                    increases = 0
-            if len(trace) >= 6:
-                prev = trace[-6][4]
-                if prev > 0 and (prev - res) / prev < 1e-3:
-                    if gamma < DAMPING_MAX:
-                        gamma = min(1.5 * gamma, DAMPING_MAX)
-                    elif res <= tol:
-                        break
-                    elif len(trace) > 30 and (prev - res) / prev < 1e-9:
-                        break  # hard stagnation
-            if res <= tol and len(trace) >= min_iters:
-                break
-        state.damping = gamma
-        state.residual_trace.extend(trace)
-        return trace
-
-    def extend_final(t_budget):
-        state.stage_traces[-1].extend(run_stage(kernels.final, t_budget))
-
     for si, st in enumerate(kernels.stages):
         if si > 0:
-            rescale(kernels.stages[si - 1].eps / st.eps)
-        state.stage_traces.append(
-            run_stage(st, t_max, MIN_FINAL_ITERS if st is kernels.final else 1))
+            # the log-scalings are potentials over eps: a move from eps to
+            # eps' multiplies them by eps / eps'
+            factor = kernels.stages[si - 1].eps / st.eps
+            state.log_u *= factor
+            state.log_v *= factor
+            state.log_w *= factor
+        min_iters = MIN_FINAL_ITERS if st is kernels.final else 1
+        trace = []
+        state.stage_traces.append(trace)
+        for _ in range(t_max):
+            lm = _LogMarginals(problem, st, state)
+            state.log_u[active1] += lm1[active1] - lm.log_P1()[active1]
+            lm = _LogMarginals(problem, st, state)
+            if active2.any():
+                state.log_v[active2] += lm2[active2] - lm.log_P2()[active2]
+            lm = _LogMarginals(problem, st, state)
+            state.log_w[active3] += lm3[active3] - lm.log_P3()[active3]
+            state.eta += _eta_newton(problem, st, state)
+            trace.append(_residual_tuple(problem, st, state))
+            if trace[-1][4] <= tol and len(trace) >= min_iters:
+                break
 
-    # fallback ladder if the final KKT misses the tolerance
-    def final_kkt():
-        return _residual_tuple(problem, kernels.final, state)[4]
-
-    if final_kkt() > tol:
-        state.fallbacks_taken.append("marginal_rebalance")
-        saved, state.damping = state.damping, 1.0
-        extend_final(10)
-        state.damping = saved
-    if final_kkt() > tol:
-        state.fallbacks_taken.append("damping_increase")
-        state.damping = max(DAMPING_MIN, 0.5 * state.damping)
-        extend_final(t_max // 2)
-    if final_kkt() > tol and len(kernels.stages) >= 2:
-        state.fallbacks_taken.append("eps_backtrack")
-        prev, last = kernels.stages[-2], kernels.final
-        rescale(last.eps / prev.eps)
-        # these sweeps count as iterations, but r_geo reads the final
-        # stage's trace, which they are not part of
-        run_stage(prev, t_max // 2)
-        rescale(prev.eps / last.eps)
-        extend_final(t_max // 2)
-
-    state.converged = final_kkt() <= tol
+    state.converged = state.stage_traces[-1][-1][4] <= tol
     certs = certify(state, problem, kernels)
     return state, certs
 
@@ -535,7 +478,6 @@ def certify(state: BridgeState, problem: TriMarginalProblem,
         epsilon_final=kernels.final.eps,
         ratio_iqr=iqr,
         delta_lowrank=kernels.delta,
-        fallbacks_taken=tuple(state.fallbacks_taken),
         converged=state.converged,
     )
 

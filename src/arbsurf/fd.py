@@ -24,7 +24,6 @@ __all__ = [
     "dupire_total_variation",
     "dkk_matrix",
     "dtau_matrix",
-    "weighted_operator_norm",
 ]
 
 
@@ -149,22 +148,3 @@ def dupire_total_variation(field: DupireField, w: WeightField) -> float:
     dk = np.abs(np.diff(s, axis=1)) * 0.5 * (ww[:, :-1] + ww[:, 1:])
     dt = np.abs(np.diff(s, axis=0)) * 0.5 * (ww[:-1, :] + ww[1:, :])
     return float(dk.sum() + dt.sum())
-
-
-def weighted_operator_norm(D: np.ndarray, weights: np.ndarray,
-                           n_iter: int = 200) -> float:
-    """Operator norm of D on the diag(weights) inner product, by power
-    iteration from a seed-0 Gaussian start."""
-    wsqrt = np.sqrt(np.asarray(weights, dtype=float))
-    M = (D * (1.0 / wsqrt)[None, :]) * wsqrt[:, None]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(D.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(n_iter):
-        u = M @ v
-        v = M.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        v /= nv
-    return float(np.linalg.norm(M @ v))

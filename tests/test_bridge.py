@@ -3,8 +3,8 @@ import pytest
 from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
-from arbsurf.bridge import (GRAM_RIDGE, BridgeState, TriMarginalProblem,
-                            _logsumexp,
+from arbsurf.bridge import (GRAM_RIDGE, MIN_FINAL_ITERS, BridgeState,
+                            TriMarginalProblem, _logsumexp,
                             build_bridge, certify, coupling_pairwise,
                             dual_value, kkt_residual, primal_value,
                             tri_sinkhorn)
@@ -258,7 +258,6 @@ def test_rgeo_from_exact_geometric_trace():
     state = BridgeState(np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
     res = [0.5**t for t in range(30)]
     state.stage_traces = [[(r, r, r, r, r) for r in res]]
-    state.residual_trace = state.stage_traces[0]
     certs = certify(state, prob, kern)
     assert certs.r_geo == pytest.approx(0.5, abs=1e-12)
 
@@ -272,7 +271,6 @@ def test_muhat_identity_features():
     kern.phi2 = np.eye(n)
     state = BridgeState(np.zeros(n), np.zeros(n), np.zeros(n), 0.0)
     state.stage_traces = [[(0.1,) * 5, (0.05,) * 5]]
-    state.residual_trace = state.stage_traces[0]
     certs = certify(state, prob, kern)
     assert certs.mu_hat == pytest.approx(2.0 / n + GRAM_RIDGE, abs=1e-10)
 
@@ -404,26 +402,22 @@ def test_shadow_price_sensitivity():
 
 def test_convergence_failure_reports_instead_of_raising():
     # the martingale rhs is forced away from anything the marginals allow, so
-    # no tolerance this tight is reachable; the solver must walk its fallback
-    # ladder and report, never raise
+    # no tolerance this tight is reachable; every stage spends its budget and
+    # the solver reports, never raises
     prob = make_problem(eps=(0.5, 0.2), martingale_shift=0.2)
     state, certs = tri_sinkhorn(prob, tol=1e-10, t_max=60)
     assert not certs.converged
     assert not state.converged
-    assert len(certs.fallbacks_taken) >= 1
-    assert set(certs.fallbacks_taken) <= {"marginal_rebalance",
-                                          "damping_increase", "eps_backtrack"}
+    assert [len(trace) for trace in state.stage_traces] == [60, 60]
     assert certs.kkt > 1e-10
-    assert len(state.residual_trace) >= 2
     assert np.all(np.isfinite(state.log_u))
     assert np.all(np.isfinite(state.log_v))
     assert np.all(np.isfinite(state.log_w))
 
 
 def test_every_sweep_is_counted(monkeypatch):
-    # each sweep makes one Newton step on eta, the eps-backtrack's sweeps at
-    # the previous eps included; the final stage's trace, which r_geo reads,
-    # holds only sweeps at the final eps
+    # each sweep makes one Newton step on eta and adds one residual to its
+    # stage's trace; the whole trace is the stages' traces end to end
     import arbsurf.bridge as bridge
     sweeps, newton = [0], bridge._eta_newton
 
@@ -434,9 +428,39 @@ def test_every_sweep_is_counted(monkeypatch):
     monkeypatch.setattr(bridge, "_eta_newton", spy)
     prob = make_problem(eps=(0.5, 0.2), martingale_shift=0.2)
     state, certs = tri_sinkhorn(prob, tol=1e-10, t_max=60)
-    assert "eps_backtrack" in certs.fallbacks_taken
-    assert sweeps[0] == len(state.residual_trace) == certs.iterations
-    assert len(state.residual_trace) > sum(map(len, state.stage_traces))
+    assert (sweeps[0] == len(state.residual_trace) == certs.iterations
+            == sum(map(len, state.stage_traces)))
+    assert state.residual_trace == [r for t in state.stage_traces for r in t]
+
+
+def test_t_max_below_the_final_stage_minimum_raises():
+    prob = make_problem(eps=(0.5, 0.2))
+    for t_max in (0, MIN_FINAL_ITERS - 1):
+        with pytest.raises(ValueError, match=r"t_max.*MIN_FINAL_ITERS"):
+            tri_sinkhorn(prob, t_max=t_max)
+    state, _ = tri_sinkhorn(prob, t_max=MIN_FINAL_ITERS)
+    assert len(state.stage_traces[-1]) == MIN_FINAL_ITERS
+
+
+def test_final_stage_runs_its_minimum_sweeps_on_a_benchmark_market(monkeypatch):
+    # on this market the residual meets the pipeline's tol within the final
+    # stage's first sweeps; r_geo must still read MIN_FINAL_ITERS of them
+    import arbsurf.bridge as bridge
+    from arbsurf.pipeline import PipelineContext
+    states = []
+
+    def spy(*args, **kw):
+        state, certs = tri_sinkhorn(*args, **kw)
+        states.append(state)
+        return state, certs
+
+    ctx = PipelineContext({"seed": 1_000_010})
+    ctx.stage_generate()
+    ctx.stage_fit()
+    monkeypatch.setattr(bridge, "tri_sinkhorn", spy)
+    ctx.stage_bridge()
+    assert len(states[0].stage_traces[-1]) >= MIN_FINAL_ITERS
+    assert ctx.summary["C2"]["iterations"] == 15
 
 
 def test_state_scalings_finite_after_normal_run():
@@ -506,9 +530,6 @@ def test_memo_run_equals_memo_free_run_bit_for_bit(case, monkeypatch):
     with monkeypatch.context() as m:
         _memo_free(m)
         without = solve()
-    if case["run"].get("tol") == 1e-9:
-        assert with_memo[1].fallbacks_taken == ("marginal_rebalance",
-                                                "damping_increase", "eps_backtrack")
     (state, certs), (ref_state, ref_certs) = with_memo, without
     for name in ("log_u", "log_v", "log_w"):
         assert getattr(state, name).tobytes() == getattr(ref_state, name).tobytes()

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from arbsurf.fd import (DupireField, FdConfig, dkk_matrix, dtau_matrix,
-                        dupire_field, dupire_total_variation, fd_derivatives,
-                        weighted_operator_norm)
+                        dupire_field, dupire_total_variation, fd_derivatives)
 from arbsurf.grid import Grid2D, WeightField, uniform_weight, vega_bump_weight, weighted_norm
 
 from conftest import bs_call, bs_gamma_K, bs_theta_tau
@@ -155,21 +154,6 @@ def test_linearity(grid21x11):
     kk, t = fd_derivatives(a * C1 + b * C2, grid21x11)
     np.testing.assert_allclose(kk, a * kk1 + b * kk2, atol=1e-10)
     np.testing.assert_allclose(t, a * t1 + b * t2, atol=1e-10)
-
-
-def test_operator_norm_weight_switch_bound():
-    # weighted operator norm <= sqrt(w_max/w_min) * unweighted spectral norm,
-    # power iteration cross-checked against a dense SVD oracle
-    g = Grid2D(np.linspace(80, 120, 9), np.linspace(0.1, 1.1, 5))
-    S = dkk_matrix(g.strikes, 5)
-    rng = np.random.default_rng(2)
-    wrow = np.abs(rng.standard_normal(9)) + 0.3
-    got = weighted_operator_norm(S, wrow)
-    M = (np.sqrt(wrow)[:, None] * S) / np.sqrt(wrow)[None, :]
-    oracle = np.linalg.svd(M, compute_uv=False)[0]
-    assert got == pytest.approx(oracle, rel=1e-6)
-    unweighted = np.linalg.svd(S, compute_uv=False)[0]
-    assert got <= np.sqrt(wrow.max() / wrow.min()) * unweighted + 1e-9
 
 
 def test_stencils_are_built_once_per_grid_and_window(grid21x11):
